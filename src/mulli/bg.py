@@ -9,8 +9,8 @@ the map "compute bg symbol, reinterpret, reconstruct" a bijection.  The
 reverse direction rebuilds the BG-partition layer by layer.
 """
 
-from .partitions import as_partition, check_odd_p, durfee_length, is_bg_partition, is_self_conjugate
-from .rims import _first_vacant, _read_rows, _walk_run, p_rim_star, remove_p_rim_star
+from .partitions import _conjugate, _durfee, _is_bg, _is_weakly_decreasing, _symmetric, _top_hooks, _top_size, as_partition, check_odd_p
+from .rims import _grow, _peel, _star_stats
 from .symbols import Symbol, mullineux_symbol, reconstruct
 
 
@@ -22,15 +22,17 @@ def bg_symbol(lam, p) -> Symbol:
     """
     lam = as_partition(lam)
     check_odd_p(p)
-    if not is_self_conjugate(lam):
+    if lam != _conjugate(lam):
         raise ValueError(f"{lam} is not self-conjugate")
+    return _bg_symbol(lam, p)
+
+
+def _bg_symbol(lam, p) -> Symbol:
     a, r = [], []
-    cur = lam
-    while cur:
-        star = p_rim_star(cur, p)
-        a.append(star.a_star)
-        r.append(star.r_star)
-        cur = remove_p_rim_star(cur, p)
+    for top, counts in _peel(lam, p, star=True):
+        a_star, r_star, _ = _star_stats(top, counts)
+        a.append(a_star)
+        r.append(r_star)
     return Symbol(p, tuple(a), tuple(r), kind="bg")
 
 
@@ -64,31 +66,32 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
         raise ValueError("a layer that misses the diagonal must have m = 0")
     if not base and eps == 0:
         raise ValueError("a layer on the empty partition must contain the diagonal cell")
-    if not is_self_conjugate(base):
+    if base != _conjugate(base):
         raise ValueError(f"{base} is not self-conjugate")
+    return _symmetric(_add_layer(base[: _durfee(base)], eps, m, p))
 
-    occupied = {(i, j) for i, part in enumerate(base, start=1) for j in range(1, part + 1)}
-    before = set(occupied)
-    d = durfee_length(base)
+
+def _add_layer(top, eps, m, p) -> tuple:
+    """add_rim_star_layer on the Durfee rows `top`; returns the new Durfee rows.
+
+    Every cell grows on or above the diagonal, so the walk only needs
+    the Durfee rows; with eps = 1 row d + 1 joins them with a virtual
+    end at column d, which makes the diagonal start cell (d+1, d+1) its
+    first vacant cell.  Mirroring is left to _symmetric.
+    """
+    d = len(top)
+    rows = list(top)
     if eps:
-        row, col = d + 1, d + 1
-        count = m + 1  # the diagonal start cell completes an m = 0 run by itself
+        rows.append(d)
+        # the diagonal start cell completes an m = 0 run by itself
+        placed = _grow(rows, d + 1, m + 1, p)
     else:
-        row, col = d, base[d - 1] + 1
-        count = p
-    while True:
-        last = _walk_run(occupied, row, col, count)
-        if last[0] == 1:
-            break
-        row = last[0] - 1
-        col = _first_vacant(occupied, row)
-        count = p
-    placed = occupied - before
-    occupied |= {(j, i) for i, j in placed}
-    result = _read_rows(occupied)
-    if not is_self_conjugate(result):
-        raise RuntimeError(f"layer growth on {base} lost self-conjugacy: {result}")
-    return result
+        placed = _grow(rows, d, p, p)
+    if not _is_weakly_decreasing(rows):
+        raise RuntimeError(f"layer growth on the Durfee rows {top} lost self-conjugacy: {rows}")
+    if _top_size(rows) != _top_size(top) + 2 * placed - eps:
+        raise RuntimeError(f"layer growth on the Durfee rows {top} placed {placed} cells but grew to {rows}")
+    return tuple(rows)
 
 
 def bg_to_mull(lam, p) -> tuple:
@@ -99,9 +102,9 @@ def bg_to_mull(lam, p) -> tuple:
     """
     lam = as_partition(lam)
     check_odd_p(p)
-    if not is_bg_partition(lam, p):
+    if not _is_bg(lam, p):
         raise ValueError(f"{lam} is not a BG-partition for p={p}")
-    return reconstruct(bg_symbol(lam, p).as_mullineux())
+    return reconstruct(_bg_symbol(lam, p).as_mullineux())
 
 
 def mull_to_bg(lam, p) -> tuple:
@@ -124,12 +127,13 @@ def mull_to_bg(lam, p) -> tuple:
     last = len(sym) - 1
     if sym.eps(last) != 1:
         raise RuntimeError(f"last column of {sym.to_text()} has eps = 0; impossible for a fixed point")
-    mu = (sym.r[last],) + (1,) * (sym.r[last] - 1)
-    if not is_bg_partition(mu, p):
-        raise RuntimeError(f"seed hook {mu} is not a BG-partition for p={p}")
+    # intermediates are kept as Durfee rows; every valid top is self-conjugate
+    top = (sym.r[last],)
+    if any(h % p == 0 for h in _top_hooks(top)):
+        raise RuntimeError(f"seed hook {_symmetric(top)} is not a BG-partition for p={p}")
     for i in range(last - 1, -1, -1):
         eps = sym.eps(i)
-        mu = add_rim_star_layer(mu, eps, (sym.r[i] - eps) % p, p)
-        if not is_bg_partition(mu, p):
-            raise RuntimeError(f"intermediate {mu} is not a BG-partition for p={p}")
-    return mu
+        top = _add_layer(top, eps, (sym.r[i] - eps) % p, p)
+        if any(h % p == 0 for h in _top_hooks(top)):
+            raise RuntimeError(f"intermediate {_symmetric(top)} is not a BG-partition for p={p}")
+    return _symmetric(top)

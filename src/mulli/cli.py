@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad partition, bad p, cap
-exceeded), 2 usage error, 3 verify found a failing property.  Domain
-errors print `error: <msg>` to stderr in text mode and an
-`{"error": <msg>}` object to stdout in json mode.
+exceeded, --out not writable), 2 usage error, 3 verify found a failing
+property, 4 internal error (a broken invariant of the kernels, which is
+a bug).  Domain errors print `error: <msg>` to stderr in text mode and
+an `{"error": <msg>}` object to stdout in json mode; internal errors
+print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
 """
 
 import argparse
@@ -142,19 +144,29 @@ def _run(args):
     raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
+def _fail(args, message, internal=False) -> int:
+    """Report an error in the requested format; return its exit code."""
+    if args.format == "json":
+        print(json.dumps({"error": message, "internal": True} if internal else {"error": message}))
+    else:
+        print(f"{'internal error' if internal else 'error'}: {message}", file=sys.stderr)
+    return 4 if internal else 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = _run(args)
     except ValueError as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc)}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, str(exc))
+    except RuntimeError as exc:
+        return _fail(args, str(exc), internal=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            return _fail(args, f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         print(payload)
     return code

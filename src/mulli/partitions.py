@@ -18,7 +18,7 @@ Conventions:
 Every function is pure and every value immutable.
 """
 
-from collections import Counter
+from itertools import accumulate
 
 # Desk-scale tool: partitions are validated to at most this many cells,
 # so all arithmetic stays in machine words.
@@ -36,12 +36,16 @@ def as_partition(parts) -> tuple[int, ...]:
     for x in lam:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"parts must be positive integers, got {x!r}")
-    for i in range(len(lam) - 1):
-        if lam[i] < lam[i + 1]:
-            raise ValueError(f"parts must be weakly decreasing, got {lam}")
+    if not _is_weakly_decreasing(lam):
+        raise ValueError(f"parts must be weakly decreasing, got {lam}")
     if sum(lam) > MAX_CELLS:
         raise ValueError(f"partition of {sum(lam)} exceeds the size cap {MAX_CELLS}")
     return lam
+
+
+def _is_weakly_decreasing(rows) -> bool:
+    # sorting an already sorted sequence is a single linear pass
+    return sorted(rows, reverse=True) == list(rows)
 
 
 def check_odd_p(p) -> int:
@@ -61,6 +65,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
     if text in ("", "-"):
         return ()
     parts = []
+    cells = 0
     for token in text.split(","):
         token = token.strip()
         base, _, exponent = token.partition("^")
@@ -71,6 +76,10 @@ def parse_partition(text: str) -> tuple[int, ...]:
             raise ValueError(f"cannot parse partition piece {token!r}") from None
         if count < 1:
             raise ValueError(f"exponent must be positive in {token!r}")
+        # check the cap before expanding, so '5^1000000000' allocates nothing
+        cells += max(value, 1) * count
+        if cells > MAX_CELLS:
+            raise ValueError(f"partition of at least {cells} cells exceeds the size cap {MAX_CELLS}")
         parts.extend([value] * count)
     return as_partition(parts)
 
@@ -82,29 +91,56 @@ def format_partition(lam) -> str:
 
 def conjugate(lam) -> tuple[int, ...]:
     """Transpose of the diagram: entry j counts the parts of size >= j."""
-    lam = as_partition(lam)
+    return _conjugate(as_partition(lam))
+
+
+def _conjugate(lam) -> tuple[int, ...]:
+    """conjugate on a trusted partition, in O(len + lam_1)."""
     if not lam:
         return ()
-    cols = [0] * lam[0]
+    equal = [0] * lam[0]  # equal[j] = number of parts of size j + 1
     for part in lam:
-        for j in range(part):
-            cols[j] += 1
-    return tuple(cols)
+        equal[part - 1] += 1
+    return tuple(accumulate(reversed(equal)))[::-1]
 
 
 def is_self_conjugate(lam) -> bool:
-    return as_partition(lam) == conjugate(lam)
+    lam = as_partition(lam)
+    return lam == _conjugate(lam)
 
 
 def durfee_length(lam) -> int:
     """Number of diagonal cells: the largest i with lam_i >= i (0 if empty)."""
-    lam = as_partition(lam)
+    return _durfee(as_partition(lam))
+
+
+def _durfee(lam) -> int:
     k = 0
     for i, part in enumerate(lam, start=1):
         if part < i:
             break
         k = i
     return k
+
+
+def _symmetric(top) -> tuple[int, ...]:
+    """The self-conjugate partition whose first len(top) rows are top.
+
+    top must be weakly decreasing with top_i >= i (it is then exactly the
+    Durfee rows of the result); each row below the Durfee square holds as
+    many cells as there are top rows reaching its index.
+    """
+    return tuple(top) + _conjugate(top)[len(top) :]
+
+
+def _top_size(top) -> int:
+    """Size of _symmetric(top): its diagonal hooks 2 (top_i - i) + 1 summed."""
+    return 2 * sum(top) - len(top) ** 2
+
+
+def _top_hooks(top):
+    """Diagonal hook lengths of _symmetric(top)."""
+    return (2 * (part - i) + 1 for i, part in enumerate(top, start=1))
 
 
 def hook_length(lam, row: int, col: int) -> int:
@@ -124,7 +160,8 @@ def diagonal_hook_lengths(lam) -> tuple[int, ...]:
     size, and they determine lam (see self_conjugate_from_diagonal_hooks).
     """
     lam = as_partition(lam)
-    return tuple(hook_length(lam, i, i) for i in range(1, durfee_length(lam) + 1))
+    cols = _conjugate(lam)
+    return tuple((lam[i] - i) + (cols[i] - i) - 1 for i in range(_durfee(lam)))
 
 
 def self_conjugate_from_diagonal_hooks(hooks) -> tuple[int, ...]:
@@ -144,12 +181,9 @@ def self_conjugate_from_diagonal_hooks(hooks) -> tuple[int, ...]:
             raise ValueError(f"diagonal hooks must be strictly decreasing, got {hooks}")
     if not hooks:
         return ()
-    k = len(hooks)
-    top = [i + (h - 1) // 2 for i, h in enumerate(hooks, start=1)]
-    # rows below the Durfee square are forced by symmetry: row j holds as
-    # many cells as there are top rows reaching column j
-    bottom = [sum(1 for part in top if part >= j) for j in range(k + 1, top[0] + 1)]
-    lam = as_partition(tuple(top) + tuple(bottom))
+    if sum(hooks) > MAX_CELLS:
+        raise ValueError(f"partition of {sum(hooks)} exceeds the size cap {MAX_CELLS}")
+    lam = as_partition(_symmetric([i + (h - 1) // 2 for i, h in enumerate(hooks, start=1)]))
     assert diagonal_hook_lengths(lam) == hooks and is_self_conjugate(lam)
     return lam
 
@@ -158,14 +192,23 @@ def is_p_regular(lam, p) -> bool:
     """True when no part value occurs p or more times."""
     lam = as_partition(lam)
     check_odd_p(p)
-    return all(count < p for count in Counter(lam).values())
+    return _is_p_regular(lam, p)
+
+
+def _is_p_regular(lam, p) -> bool:
+    # parts are sorted, so a value repeats p times iff it spans p consecutive places
+    return all(first != last for first, last in zip(lam, lam[p - 1 :]))
 
 
 def is_bg_partition(lam, p) -> bool:
     """Self-conjugate with no diagonal hook length divisible by p."""
     lam = as_partition(lam)
     check_odd_p(p)
-    return is_self_conjugate(lam) and all(h % p != 0 for h in diagonal_hook_lengths(lam))
+    return _is_bg(lam, p)
+
+
+def _is_bg(lam, p) -> bool:
+    return lam == _conjugate(lam) and all(h % p != 0 for h in _top_hooks(lam[: _durfee(lam)]))
 
 
 def truncate_to_durfee(lam) -> tuple[int, ...]:
@@ -173,4 +216,4 @@ def truncate_to_durfee(lam) -> tuple[int, ...]:
     lam = as_partition(lam)
     if not lam:
         raise ValueError("the empty partition has no rows to keep")
-    return lam[: durfee_length(lam)]
+    return lam[: _durfee(lam)]

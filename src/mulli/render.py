@@ -1,7 +1,7 @@
 """ASCII Young diagrams, plain or labelled by peeling iteration."""
 
-from .partitions import as_partition, check_odd_p
-from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star
+from .partitions import _conjugate, as_partition, check_odd_p
+from .rims import _mirrored, _peel, _tail_cells
 
 
 def render_diagram(lam, highlight=()):
@@ -22,15 +22,11 @@ def peel_iterations(lam, p, star=False):
     """
     lam = as_partition(lam)
     check_odd_p(p)
-    layers = []
-    while lam:
-        if star:
-            layers.append(tuple(p_rim_star(lam, p).cells))
-            lam = remove_p_rim_star(lam, p)
-        else:
-            layers.append(tuple(p_rim(lam, p).cells))
-            lam = remove_p_rim(lam, p)
-    return layers
+    if not star:
+        return [_tail_cells(rows, counts) for rows, counts in _peel(lam, p)]
+    if lam != _conjugate(lam):
+        raise ValueError(f"{lam} is not self-conjugate")
+    return [_mirrored(_tail_cells(top, counts)) for top, counts in _peel(lam, p, star=True)]
 
 
 def render_peeled(lam, p, star=False):

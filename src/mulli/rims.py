@@ -1,56 +1,97 @@
-"""Rim walks on Young diagrams.
+"""Rim peeling and rim growth on row lengths.
 
 The rim of a partition is its south-east border: every cell (i, j) of
-the diagram with (i+1, j+1) outside it.  Read from top right to bottom
-left it forms a lattice path; labeling the path cells 1, 2, 3, ... and
-cutting runs of p labels (each new run restarting on the next row down,
-see p_rim) selects the p-rim, the set peeled off in one step of the
-symbol computations.
+the diagram with (i+1, j+1) outside it.  Row i holds the rim cells in
+columns max(1, lam_{i+1}) .. lam_i, so reading the rim from top right to
+bottom left and cutting runs of p cells (each new run restarting on the
+next row down, see p_rim) selects the p-rim, the set peeled off in one
+step of the symbol computations.  Every run starts at the right end of
+a row, so the p-rim takes a right tail of every row and is described by
+one count per row; peeling it is one pass over the rows.
 
 For self-conjugate partitions the symmetrized variant keeps the cells
-of the p-rim on or above the diagonal and mirrors them below it.
+of the p-rim on or above the diagonal and mirrors them below it.  Those
+cells lie in the Durfee rows (the rows i with lam_i >= i), which
+determine the partition, so the symmetrized peel works on the Durfee
+rows alone.
+
+Growth is the reverse: cells are added at row ends, moving up whenever
+the cell above is vacant.  The kernels here take trusted tuples; the
+public functions validate their input once.
 """
 
 from dataclasses import dataclass
 
-from .partitions import as_partition, check_odd_p, is_self_conjugate
+from .partitions import _conjugate, _durfee, _is_weakly_decreasing, _symmetric, as_partition, check_odd_p
+
+
+def _tail_cells(rows, counts) -> tuple:
+    """The right tails of `counts` cells per row, in rim walk order."""
+    return tuple(
+        (i, part - j) for i, (part, count) in enumerate(zip(rows, counts), start=1) for j in range(count)
+    )
+
+
+def _mirrored(upper) -> tuple:
+    """Upper-half cells plus their mirror images, sorted lexicographically."""
+    return tuple(sorted(set(upper) | {(j, i) for i, j in upper}))
 
 
 @dataclass(frozen=True)
 class PRim:
-    """One p-rim: cells in walk order plus the start index of each segment."""
+    """One p-rim of lam: counts[i] cells from the right end of row i + 1."""
 
-    cells: tuple
-    segment_starts: tuple
+    lam: tuple
+    p: int
+    counts: tuple
 
     def __len__(self):
-        return len(self.cells)
+        return sum(self.counts)
+
+    @property
+    def cells(self) -> tuple:
+        """The cells in walk order: rows top down, each read right to left."""
+        return _tail_cells(self.lam, self.counts)
+
+    @property
+    def segment_starts(self) -> tuple:
+        # every run but the last holds exactly p cells
+        return tuple(range(0, len(self), self.p))
 
     @property
     def segments(self) -> tuple:
-        bounds = self.segment_starts + (len(self.cells),)
-        return tuple(self.cells[bounds[k] : bounds[k + 1]] for k in range(len(self.segment_starts)))
+        cells = self.cells
+        return tuple(cells[start : start + self.p] for start in self.segment_starts)
 
 
 @dataclass(frozen=True)
 class PRimStar:
     """Symmetrized p-rim of a self-conjugate partition.
 
-    upper holds the p-rim cells on or above the diagonal (row <= col),
-    lower their mirror images; the two overlap in at most one diagonal
-    cell, which is what the parity eps_star detects.
+    counts[i] is the number of p-rim cells on or above the diagonal in
+    Durfee row i + 1 of lam.  upper holds those cells, lower their
+    mirror images; the two overlap in at most one diagonal cell, which
+    is what the parity eps_star detects.
     """
 
-    upper: tuple
-    lower: tuple
+    lam: tuple
+    counts: tuple
     a_star: int
     r_star: int
     eps_star: int
 
     @property
+    def upper(self) -> tuple:
+        return tuple(sorted(_tail_cells(self.lam, self.counts)))
+
+    @property
+    def lower(self) -> tuple:
+        return tuple(sorted((j, i) for i, j in self.upper))
+
+    @property
     def cells(self) -> tuple:
         """Union of upper and lower, sorted lexicographically."""
-        return tuple(sorted(set(self.upper) | set(self.lower)))
+        return _mirrored(self.upper)
 
 
 def rim(lam) -> tuple:
@@ -62,12 +103,98 @@ def rim(lam) -> tuple:
     lam = as_partition(lam)
     if not lam:
         raise ValueError("the empty partition has no rim")
-    cells = []
-    for i, part in enumerate(lam, start=1):
-        below = lam[i] if i < len(lam) else 0
-        for col in range(part, max(below, 1) - 1, -1):
-            cells.append((i, col))
-    return tuple(cells)
+    return _tail_cells(lam, _rim_lengths(lam))
+
+
+def _rim_lengths(rows, below=0) -> list:
+    """Rim cells per row; `below` is the length of the row after the last."""
+    return [part - (end or 1) + 1 for part, end in zip(rows, rows[1:] + (below,))]
+
+
+def _rim_counts(rows, p, below=0) -> list:
+    """Cells the p-rim takes from the right end of each row.
+
+    A run that ends inside row i (or at its last rim cell) leaves the
+    rest of that row's rim and restarts on row i + 1; a run that uses up
+    row i's rim goes on in row i + 1.  Either way every row is entered
+    once, in order.  Only the rows given are walked, so passing the top
+    rows of a partition (with `below` the next row) gives the counts of
+    those rows.
+    """
+    counts = []
+    need = p
+    for length in _rim_lengths(rows, below):
+        if length >= need:
+            counts.append(need)
+            need = p
+        else:
+            counts.append(length)
+            need -= length
+    return counts
+
+
+def _star_counts(top, p) -> list:
+    """p-rim cells on or above the diagonal per Durfee row.
+
+    top is the Durfee rows of a self-conjugate partition; its next row
+    has one cell per top row reaching past the Durfee square.
+    """
+    d = len(top)
+    below = sum(1 for part in top if part > d)
+    return [min(count, part - i) for i, (count, part) in enumerate(zip(_rim_counts(top, p, below), top))]
+
+
+def _star_stats(top, counts) -> tuple:
+    """(a_star, r_star, eps_star) of the symmetrized p-rim with these counts.
+
+    Only the last Durfee row can reach the diagonal: the rim of any row
+    i above it starts at column lam_{i+1} >= i + 1.
+    """
+    r_star = sum(counts)
+    eps_star = 1 if counts[-1] == top[-1] - len(top) + 1 else 0
+    return 2 * r_star - eps_star, r_star, eps_star
+
+
+def _remove(rows, counts) -> tuple:
+    """Drop counts[i] cells from the end of each row; the rest must be a partition."""
+    rest = [part - count for part, count in zip(rows, counts)]
+    while rest and rest[-1] == 0:
+        rest.pop()
+    if 0 in rest or not _is_weakly_decreasing(rest):
+        raise RuntimeError(f"rim removal broke the diagram of {rows}: {rest}")
+    return tuple(rest)
+
+
+def _remove_star(top, counts) -> tuple:
+    """Durfee rows left after removing the symmetrized p-rim.
+
+    Removing the cells above the diagonal and their mirrors leaves a
+    self-conjugate partition of |lam| - a_star exactly when the rows
+    still reaching the diagonal are a weakly decreasing prefix that is
+    eps_star rows shorter than before.
+    """
+    rest = [part - count for part, count in zip(top, counts)]
+    kept = _durfee(rest)
+    if kept != len(top) - _star_stats(top, counts)[2] or not _is_weakly_decreasing(rest[:kept]):
+        raise RuntimeError(f"rim* removal from the Durfee rows {top} lost self-conjugacy: {rest}")
+    return tuple(rest[:kept])
+
+
+def _peel(lam, p, star=False):
+    """Yield (rows, counts) for each peeling step of a trusted partition.
+
+    star=False peels p-rims: rows is the partition before the step and
+    counts[i] the cells taken from the end of its row i + 1.  star=True
+    peels symmetrized p-rims of a self-conjugate lam: rows is the Durfee
+    rows before the step (the partition is _symmetric(rows)) and counts
+    the cells taken on or above the diagonal.
+    """
+    counts_of, remove = (_star_counts, _remove_star) if star else (_rim_counts, _remove)
+    rows = lam[: _durfee(lam)] if star else lam
+    while rows:
+        counts = counts_of(rows, p)
+        yield rows, counts
+        rows = remove(rows, counts)
 
 
 def p_rim(lam, p) -> PRim:
@@ -81,51 +208,15 @@ def p_rim(lam, p) -> PRim:
     """
     lam = as_partition(lam)
     check_odd_p(p)
-    path = rim(lam)
-    last_row = len(lam)
-    cells = []
-    starts = []
-    pos = 0
-    while True:
-        starts.append(len(cells))
-        segment = path[pos : pos + p]
-        cells.extend(segment)
-        row = segment[-1][0]
-        if row == last_row:
-            break
-        pos += len(segment)
-        while path[pos][0] != row + 1:
-            pos += 1
-    return PRim(tuple(cells), tuple(starts))
-
-
-def _tail_counts(lam, cells) -> list:
-    """Per-row counts of `cells`, verifying they form each row's right tail."""
-    by_row = {}
-    for r, c in cells:
-        by_row.setdefault(r, []).append(c)
-    counts = [0] * len(lam)
-    for r, cols in by_row.items():
-        want = set(range(lam[r - 1] - len(cols) + 1, lam[r - 1] + 1))
-        if set(cols) != want:
-            raise RuntimeError(f"rim removal would leave row {r} of {lam} ragged: {sorted(cols)}")
-        counts[r - 1] = len(cols)
-    return counts
-
-
-def _strip(lam, counts) -> tuple:
-    rest = [part - gone for part, gone in zip(lam, counts)]
-    while rest and rest[-1] == 0:
-        rest.pop()
-    if any(rest[i] < rest[i + 1] for i in range(len(rest) - 1)) or 0 in rest:
-        raise RuntimeError(f"rim removal broke the diagram of {lam}: {rest}")
-    return tuple(rest)
+    if not lam:
+        raise ValueError("the empty partition has no rim")
+    return PRim(lam, p, tuple(_rim_counts(lam, p)))
 
 
 def remove_p_rim(lam, p) -> tuple:
     """Delete the p-rim; the result is a partition of |lam| - len(p_rim(lam, p))."""
-    lam = as_partition(lam)
-    return _strip(lam, _tail_counts(lam, p_rim(lam, p).cells))
+    pr = p_rim(lam, p)
+    return _remove(pr.lam, pr.counts)
 
 
 def p_rim_star(lam, p) -> PRimStar:
@@ -138,72 +229,58 @@ def p_rim_star(lam, p) -> PRimStar:
     """
     lam = as_partition(lam)
     check_odd_p(p)
-    if lam and not is_self_conjugate(lam):
+    if not lam:
+        raise ValueError("the empty partition has no rim")
+    if lam != _conjugate(lam):
         raise ValueError(f"{lam} is not self-conjugate")
-    walk = p_rim(lam, p)
-    upper = tuple(sorted(c for c in walk.cells if c[0] <= c[1]))
-    lower = tuple(sorted((j, i) for i, j in upper))
-    a_star = len(set(upper) | set(lower))
-    eps_star = a_star % 2
-    r_star = len(upper)
-    # the p-rim holds at most one diagonal cell, the only possible overlap
-    assert r_star == (a_star + eps_star) // 2
-    return PRimStar(upper=upper, lower=lower, a_star=a_star, r_star=r_star, eps_star=eps_star)
+    top = lam[: _durfee(lam)]
+    counts = _star_counts(top, p)
+    return PRimStar(lam, tuple(counts), *_star_stats(top, counts))
 
 
 def remove_p_rim_star(lam, p) -> tuple:
     """Delete the symmetrized p-rim; the result is again self-conjugate."""
-    lam = as_partition(lam)
     star = p_rim_star(lam, p)
-    rest = _strip(lam, _tail_counts(lam, star.cells))
-    if not is_self_conjugate(rest):
-        raise RuntimeError(f"rim* removal of {lam} lost self-conjugacy: {rest}")
-    return rest
+    return _symmetric(_remove_star(star.lam[: len(star.counts)], star.counts))
 
 
-# Growth helpers shared by the symbol reconstruction and the layer
-# construction.  `occupied` is a mutable set of cells; both walks place
-# cells one at a time, moving to the cell above when it is vacant and to
-# the right otherwise.
+# Growth, shared by the symbol reconstruction and the layer construction.
+# `rows` is a mutable list of row ends.
 
 
-def _walk_run(occupied, row, col, count):
-    """Place `count` cells starting at (row, col); return the last cell placed."""
-    last = None
-    for k in range(count):
-        if (row, col) in occupied:
-            raise RuntimeError(f"growth collision at ({row},{col})")
-        occupied.add((row, col))
-        last = (row, col)
-        if k + 1 < count:
-            if row > 1 and (row - 1, col) not in occupied:
-                row -= 1
-            else:
-                col += 1
-    return last
+def _grow(rows, row, first, p) -> int:
+    """Grow runs of cells onto the row ends `rows`; return how many were placed.
 
-
-def _first_vacant(occupied, row) -> int:
-    col = 1
-    while (row, col) in occupied:
-        col += 1
-    return col
-
-
-def _read_rows(occupied) -> tuple:
-    """Row lengths of a cell set, insisting it is a left-justified diagram."""
-    if not occupied:
-        return ()
-    by_row = {}
-    for r, c in occupied:
-        by_row.setdefault(r, set()).add(c)
-    length = max(by_row)
-    rows = []
-    for r in range(1, length + 1):
-        cols = by_row.get(r, set())
-        if cols != set(range(1, len(cols) + 1)):
-            raise RuntimeError(f"growth left row {r} ragged")
-        rows.append(len(cols))
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)) or 0 in rows:
-        raise RuntimeError(f"growth broke row monotonicity: {rows}")
-    return tuple(rows)
+    The first run holds `first` cells and starts at the first vacant
+    column of row `row` (1-based), every later run holds p cells and
+    starts at the first vacant column of the row above the previous
+    run's last cell; the walk stops after a run that ends in row 1.
+    Within a run each cell goes directly above the last one if that spot
+    is vacant, else to its right.  Placing (row, col) is legal iff
+    rows[row - 1] == col - 1, so a run places one batch per row:
+    rightwards while the row above covers the column, then one more
+    cell, after which it moves up.
+    """
+    i = row - 1
+    need = first
+    placed = 0
+    while i:
+        end, above = rows[i], rows[i - 1]
+        # cells up to and including the first one with a vacant cell above
+        here = above - end + 1 if above >= end else 1
+        if here >= need:
+            # the run ends in this row; the next one starts in the row above
+            rows[i] = end + need
+            placed += need
+            need = p
+        else:
+            end += here
+            rows[i] = end
+            placed += here
+            need -= here
+            # the run goes on at (i, end), which must extend row i
+            if above != end - 1:
+                raise RuntimeError(f"growth would leave row {i} ragged at column {end}")
+        i -= 1
+    rows[0] += need
+    return placed + need

@@ -12,8 +12,8 @@ the symbol by a_i = 2 r_i - eps_i.
 
 from dataclasses import dataclass
 
-from .partitions import as_partition, check_odd_p, is_p_regular
-from .rims import _first_vacant, _read_rows, _walk_run, p_rim, remove_p_rim
+from .partitions import _is_p_regular, _is_weakly_decreasing, as_partition, check_odd_p
+from .rims import _grow, _peel, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,12 @@ def mullineux_symbol(lam, p) -> Symbol:
     """
     lam = as_partition(lam)
     check_odd_p(p)
-    if not is_p_regular(lam, p):
+    if not _is_p_regular(lam, p):
         raise ValueError(f"{lam} is not {p}-regular")
     a, r = [], []
-    cur = lam
-    while cur:
-        a.append(len(p_rim(cur, p)))
-        r.append(len(cur))
-        cur = remove_p_rim(cur, p)
+    for rows, counts in _peel(lam, p):
+        a.append(sum(counts))
+        r.append(len(rows))
     return Symbol(p, tuple(a), tuple(r))
 
 
@@ -136,8 +134,8 @@ def validate_symbol(sym: Symbol) -> tuple[bool, str]:
     return True, ""
 
 
-def _add_rim(occupied, total, start_row, p):
-    """Grow one peeled rim back onto the diagram, bottom group first.
+def _add_rim(rows, total, start_row, p):
+    """Grow one peeled rim back onto the row ends `rows`, bottom group first.
 
     The walk starts at the first vacant column of start_row.  The bottom
     group holds total mod p cells (a full p when the remainder is zero),
@@ -146,22 +144,10 @@ def _add_rim(occupied, total, start_row, p):
     between groups the walk jumps one row up to the first vacant column.
     The final cell must land in row 1 with exactly `total` cells placed.
     """
-    row = start_row
-    col = _first_vacant(occupied, row)
-    remaining = total
-    count = total % p or p
-    while True:
-        last = _walk_run(occupied, row, col, count)
-        remaining -= count
-        if remaining == 0:
-            if last[0] != 1:
-                raise RuntimeError(f"rim growth ended in row {last[0]}, not row 1")
-            return
-        if last[0] == 1:
-            raise RuntimeError(f"rim growth reached row 1 with {remaining} cells to place")
-        row = last[0] - 1
-        col = _first_vacant(occupied, row)
-        count = p
+    rows.extend([0] * (start_row - len(rows)))
+    placed = _grow(rows, start_row, total % p or p, p)
+    if placed != total:
+        raise RuntimeError(f"rim growth reached row 1 with {placed} of {total} cells placed")
 
 
 def reconstruct(sym: Symbol) -> tuple:
@@ -179,13 +165,14 @@ def reconstruct(sym: Symbol) -> tuple:
         return ()
     a, r, p = sym.a, sym.r, sym.p
     last = len(a) - 1
-    seed = (a[last] - r[last] + 1,) + (1,) * (r[last] - 1)
-    occupied = {(i, j) for i, part in enumerate(seed, start=1) for j in range(1, part + 1)}
+    rows = [a[last] - r[last] + 1] + [1] * (r[last] - 1)
     for i in range(last - 1, -1, -1):
-        _add_rim(occupied, a[i], r[i], p)
-        if max(row for row, _ in occupied) != r[i]:
+        _add_rim(rows, a[i], r[i], p)
+        if len(rows) != r[i]:
             raise RuntimeError(f"growth of column {i} produced the wrong row count")
-    return _read_rows(occupied)
+    if 0 in rows or not _is_weakly_decreasing(rows):
+        raise RuntimeError(f"growth broke row monotonicity: {rows}")
+    return tuple(rows)
 
 
 def mullineux_map(lam, p) -> tuple:

@@ -165,3 +165,28 @@ def test_output_is_deterministic():
     a = run_cli("census", "-p", "3", "-n", "18", "--format", "json").stdout
     b = run_cli("census", "-p", "3", "-n", "18", "--format", "json").stdout
     assert a == b
+
+
+def test_out_to_unwritable_path_is_a_domain_error(tmp_path):
+    target = str(tmp_path / "missing" / "x")
+    out = run_cli("symbol", "-p", "3", "--out", target, "5")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: cannot write ")
+    out = run_cli("symbol", "-p", "3", "--format", "json", "--out", target, "5")
+    assert out.returncode == 1
+    assert "cannot write" in json.loads(out.stdout)["error"]
+
+
+def test_broken_invariant_exits_4(monkeypatch, capsys):
+    from mulli import cli, rims
+
+    def broken(rows, counts):
+        raise RuntimeError(f"rim removal broke the diagram of {rows}")
+
+    monkeypatch.setattr(rims, "_remove", broken)
+    assert cli.main(["symbol", "-p", "3", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: rim removal broke the diagram of (5,)\n"
+    assert cli.main(["map", "-p", "3", "--format", "json", "5"]) == 4
+    assert json.loads(capsys.readouterr().out) == {"error": "rim removal broke the diagram of (5,)", "internal": True}

@@ -1,0 +1,119 @@
+"""The maps on partitions of thousands of cells, against a cell-by-cell rim oracle."""
+
+from hypothesis import given, settings, strategies as st
+
+from mulli import (
+    bg_to_mull,
+    is_bg_partition,
+    is_p_regular,
+    mull_to_bg,
+    mullineux_map,
+    mullineux_symbol,
+    self_conjugate_from_diagonal_hooks,
+)
+
+odd_p = st.sampled_from((3, 5, 7, 9))
+
+
+def walked_symbol(lam, p):
+    """Mullineux symbol by listing the rim cell by cell and cutting runs of p.
+
+    Each run takes p consecutive rim cells; when it ends above the last
+    row, the next run starts at the first rim cell of the row below.
+    """
+    rows = list(lam)
+    a, r = [], []
+    while rows:
+        path = [
+            (i, col)
+            for i, part in enumerate(rows)
+            for col in range(part, max(rows[i + 1] if i + 1 < len(rows) else 0, 1) - 1, -1)
+        ]
+        taken, pos = [], 0
+        while True:
+            run = path[pos : pos + p]
+            taken += run
+            row = run[-1][0]
+            if row == len(rows) - 1:
+                break
+            pos += len(run)
+            while path[pos][0] != row + 1:
+                pos += 1
+        a.append(len(taken))
+        r.append(len(rows))
+        for i, _ in taken:
+            rows[i] -= 1
+        while rows and rows[-1] == 0:
+            rows.pop()
+    return tuple(a), tuple(r)
+
+
+@st.composite
+def p_regular_partitions(draw, low=200, high=3000):
+    """(lam, p) with low <= |lam| <= high; part j occurs at most p - 1 times."""
+    p = draw(odd_p)
+    top = draw(st.integers(20, 60))
+    repeats = draw(st.lists(st.integers(0, p - 1), min_size=top, max_size=top))
+    parts = [j for j in range(top, 0, -1) for _ in range(repeats[j - 1])]
+    while sum(parts) > high:
+        parts.pop(0)
+    if sum(parts) < low:
+        parts.insert(0, max(parts[0] + 1 if parts else 1, low - sum(parts)))
+    return tuple(parts), p
+
+
+@st.composite
+def bg_partitions(draw):
+    """(lam, p): self-conjugate from distinct odd diagonal hooks not divisible by p."""
+    p = draw(odd_p)
+    hooks = draw(st.sets(st.integers(0, 75).map(lambda k: 2 * k + 1).filter(lambda h: h % p), min_size=4, max_size=30))
+    return self_conjugate_from_diagonal_hooks(sorted(hooks, reverse=True)), p
+
+
+@settings(max_examples=25, deadline=None)
+@given(p_regular_partitions())
+def test_large_map_is_a_size_preserving_involution(case):
+    lam, p = case
+    assert 200 <= sum(lam) <= 3000 and is_p_regular(lam, p)
+    sym = mullineux_symbol(lam, p)
+    assert (sym.a, sym.r) == walked_symbol(lam, p)
+    mu = mullineux_map(lam, p)
+    assert sum(mu) == sum(lam) and is_p_regular(mu, p)
+    assert mullineux_map(mu, p) == lam
+
+
+@settings(max_examples=25, deadline=None)
+@given(bg_partitions())
+def test_large_bijection_round_trip(case):
+    lam, p = case
+    assert is_bg_partition(lam, p)
+    mu = bg_to_mull(lam, p)
+    sym = mullineux_symbol(mu, p)
+    assert all(sym.a[i] == 2 * sym.r[i] - sym.eps(i) for i in range(len(sym)))
+    assert mull_to_bg(mu, p) == lam
+
+
+def test_long_row():
+    lam = (4000,)
+    sym = mullineux_symbol(lam, 3)
+    assert sym.a == (3,) * 1333 + (1,) and sym.r == (1,) * 1334
+    mu = mullineux_map(lam, 3)
+    assert sum(mu) == 4000 and is_p_regular(mu, 3)
+    assert mullineux_map(mu, 3) == lam
+
+
+def test_staircase():
+    lam = tuple(range(400, 0, -1))
+    mu = mullineux_map(lam, 3)
+    assert sum(mu) == 80200 and is_p_regular(mu, 3)
+    assert mullineux_map(mu, 3) == lam
+
+
+def test_hook_built_bg_partition():
+    hooks = [h for h in range(479, 0, -2) if h % 3][:80]
+    lam = self_conjugate_from_diagonal_hooks(hooks)
+    assert sum(lam) == 28800
+    mu = bg_to_mull(lam, 3)
+    sym = mullineux_symbol(mu, 3)
+    assert all(sym.a[i] == 2 * sym.r[i] - sym.eps(i) for i in range(len(sym)))
+    assert mull_to_bg(mu, 3) == lam

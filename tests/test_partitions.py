@@ -64,6 +64,14 @@ def test_parse_partition_rejects(bad):
         parse_partition(bad)
 
 
+def test_parse_partition_checks_the_cap_before_expanding():
+    # an expanded list of 10^12 parts would not fit in memory
+    for huge in ("1^1000000000000", "5^1000000000", "0^1000000000000", f"1^{MAX_CELLS + 1}", "600000,600000"):
+        with pytest.raises(ValueError, match="size cap"):
+            parse_partition(huge)
+    assert len(parse_partition(f"1^{MAX_CELLS}")) == MAX_CELLS
+
+
 def test_format_partition():
     assert format_partition((5, 2, 2, 1)) == "5,2,2,1"
     assert format_partition(()) == ""
