@@ -14,8 +14,8 @@ import io
 from dataclasses import dataclass
 
 from .bg import bg_to_mull
-from .partitions import as_partition, check_odd_p, diagonal_hook_lengths, format_partition, is_bg_partition, is_p_regular, is_self_conjugate
-from .symbols import is_self_mullineux
+from .partitions import _conjugate, _is_bg, _is_p_regular, as_partition, check_odd_p, diagonal_hook_lengths, format_partition, is_p_regular
+from .symbols import _is_self_mullineux
 
 
 def partitions_of(n, largest=None):
@@ -25,22 +25,43 @@ def partitions_of(n, largest=None):
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"expected a size >= 0, got {n!r}")
-    if largest is None:
-        largest = n
+    if largest is not None and (not isinstance(largest, int) or isinstance(largest, bool) or largest < 0):
+        raise ValueError(f"expected a largest part >= 0, got {largest!r}")
     if n == 0:
         yield ()
         return
-    for first in range(min(n, largest), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    top = n if largest is None else min(n, largest)
+    if top == 0:
+        return
+    lam, big, k, cells = [], 0, top, n  # big counts the parts > 1, which lead lam
+    while True:
+        # fill `cells` more cells greedily with parts <= k
+        q, r = divmod(cells, k)
+        lam += [k] * q
+        if r:
+            lam.append(r)
+        big += (q if k > 1 else 0) + (r > 1)
+        yield tuple(lam)
+        if not big:
+            return
+        # the successor lowers the last part > 1 by one: drop it and the
+        # ones after it, then refill their cells with parts below it
+        k = lam[big - 1] - 1
+        cells = k + 1 + len(lam) - big
+        del lam[big - 1 :]
+        big -= 1
 
 
 def has_distinct_odd_parts(lam, p=None):
     """True when all parts are odd and distinct; with p, none divisible by p."""
     lam = as_partition(lam)
-    if len(set(lam)) != len(lam):
-        return False
-    if any(part % 2 == 0 for part in lam):
+    if p is not None:
+        check_odd_p(p)
+    return _has_distinct_odd_parts(lam, p)
+
+
+def _has_distinct_odd_parts(lam, p=None) -> bool:
+    if len(set(lam)) != len(lam) or any(part % 2 == 0 for part in lam):
         return False
     return p is None or all(part % p for part in lam)
 
@@ -116,18 +137,18 @@ def census(p, n) -> CensusReport:
     all_count = 0
     p_regular_count = 0
     selfconj, bg, selfmull, distodd = [], [], [], []
+    # partitions_of yields valid partitions, so they go to the kernels unchecked
     for lam in partitions_of(n):
         all_count += 1
-        regular = is_p_regular(lam, p)
-        if regular:
+        if _is_p_regular(lam, p):
             p_regular_count += 1
-            if is_self_mullineux(lam, p):
+            if _is_self_mullineux(lam, p):
                 selfmull.append(lam)
-        if is_self_conjugate(lam):
+        if lam == _conjugate(lam):
             selfconj.append(lam)
-            if is_bg_partition(lam, p):
+            if _is_bg(lam, p):
                 bg.append(lam)
-        if has_distinct_odd_parts(lam, p):
+        if _has_distinct_odd_parts(lam, p):
             distodd.append(lam)
 
     # The diagonal hooks of a self-conjugate partition are distinct and odd,

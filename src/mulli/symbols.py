@@ -186,5 +186,17 @@ def mullineux_map(lam, p) -> tuple:
 
 def is_self_mullineux(lam, p) -> bool:
     """Fixed-point test via the symbol: a_i = 2 r_i - eps_i in every column."""
-    sym = mullineux_symbol(lam, p)
-    return all(sym.a[i] == 2 * sym.r[i] - sym.eps(i) for i in range(len(sym)))
+    lam = as_partition(lam)
+    check_odd_p(p)
+    if not _is_p_regular(lam, p):
+        raise ValueError(f"{lam} is not {p}-regular")
+    return _is_self_mullineux(lam, p)
+
+
+def _is_self_mullineux(lam, p) -> bool:
+    """is_self_mullineux on a trusted p-regular partition; stops at the first failing column."""
+    for rows, counts in _peel(lam, p):
+        a = sum(counts)
+        if a != 2 * len(rows) - (1 if a % p else 0):
+            return False
+    return True

@@ -1,26 +1,25 @@
 """Exhaustive small-size verification of every documented invariant.
 
-run_checks(p, n_max) sweeps all partitions of every size up to n_max
-and confirms each named law at exact equality.  A check reports how
-many concrete cases it covered and, on failure, the first witness.
+run_checks(p, n_max) enumerates the partitions of each size up to n_max
+once and wraps each in a lazy record.  A record computes each value a
+law asks for at most once, from a private kernel or from one call to
+the public function whose law a check states, and every other check
+reuses that result.  Each check is a row of LAWS run over the shared
+records; it reports how many concrete cases it covered and, on
+failure, the first witness.  CHECKS holds one check_<name>(p, n_max)
+callable per row, in report order; called on its own, a check
+enumerates only the sizes it sweeps.
 """
 
-import functools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .bg import add_rim_star_layer, bg_symbol, bg_to_mull, mull_to_bg
-from .census import bg_counts_from_gf, has_distinct_odd_parts, partitions_of
-from .partitions import (
-    conjugate,
-    diagonal_hook_lengths,
-    durfee_length,
-    hook_length,
-    is_bg_partition,
-    is_p_regular,
-    is_self_conjugate,
-    self_conjugate_from_diagonal_hooks,
-    truncate_to_durfee,
-)
+from .census import _has_distinct_odd_parts, bg_counts_from_gf, partitions_of
+from .partitions import _is_p_regular, conjugate, diagonal_hook_lengths, hook_length, is_bg_partition, is_p_regular, is_self_conjugate
+from .partitions import self_conjugate_from_diagonal_hooks, truncate_to_durfee
 from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim
 from .symbols import is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
 
@@ -31,401 +30,302 @@ class CheckResult:
     ok: bool
     detail: str
     cases: int
+    seconds: float = field(default=0.0, compare=False)  # set by run_checks
 
 
-@functools.lru_cache(maxsize=None)
-def _all_partitions(n):
-    return tuple(partitions_of(n))
+# each value a law may ask a record for, computed from its partition
+_VALUES = {
+    "conj": lambda r: conjugate(r.lam),
+    "regular": lambda r: _is_p_regular(r.lam, r.p),
+    "selfconj": lambda r: r.lam == r.conj,
+    "bg": lambda r: r.selfconj and is_bg_partition(r.lam, r.p),
+    "distinct_odd": lambda r: _has_distinct_odd_parts(r.lam),
+    "image": lambda r: mullineux_map(r.lam, r.p),
+    "self_mull": lambda r: r.regular and is_self_mullineux(r.lam, r.p),
+    "hooks": lambda r: diagonal_hook_lengths(r.lam),
+    "star": lambda r: p_rim_star(r.lam, r.p),
+    "star_rest": lambda r: remove_p_rim_star(r.lam, r.p),
+    "bg_sym": lambda r: bg_symbol(r.lam, r.p),
+    "partner": lambda r: bg_to_mull(r.lam, r.p),
+}
 
 
-def _result(name, cases, failure=None):
-    if failure is None:
-        return CheckResult(name, True, f"{cases} cases", cases)
-    return CheckResult(name, False, failure, cases)
+class _Record:
+    """One partition of size n; each value is computed on first use, then shared."""
+
+    __slots__ = ("lam", "n", "p", "peers", *_VALUES)
+
+    def __init__(self, lam, n, p, peers):
+        # peers maps every partition of size n to its record: a law about an
+        # image of the same size reads the image's own record
+        self.lam, self.n, self.p, self.peers = lam, n, p, peers
+
+    def __getattr__(self, name):
+        # called only while a value's slot is still empty
+        if name not in _VALUES:
+            raise AttributeError(name)
+        value = _VALUES[name](self)
+        setattr(self, name, value)
+        return value
 
 
-def check_partition_count(p, n_max):
-    """Enumeration size agrees with Euler's pentagonal-number recurrence."""
-    counts = [1]
-    for n in range(1, n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * counts[n - g1]
-            if g2 <= n:
-                total += sign * counts[n - g2]
-            k += 1
-        counts.append(total)
-    cases = 0
-    for n in range(n_max + 1):
-        cases += 1
-        if len(_all_partitions(n)) != counts[n]:
-            return _result("partition-count", cases, f"n={n}: enumerated {len(_all_partitions(n))}, recurrence {counts[n]}")
-    return _result("partition-count", cases)
+class _Sweep(dict):
+    """size -> {partition: record}, filled on first use: partitions_of runs once per size."""
+
+    def __init__(self, p, n_max):
+        super().__init__()
+        self.p = p
+        self.gf = bg_counts_from_gf(p, n_max)  # also validates p and n_max
+
+    def __missing__(self, n):
+        peers = self[n] = {}
+        for lam in partitions_of(n):
+            peers[lam] = _Record(lam, n, self.p, peers)
+        return peers
 
 
-def check_conjugate_involution(p, n_max):
-    cases = 0
-    for n in range(n_max + 1):
-        for lam in _all_partitions(n):
-            cases += 1
-            if conjugate(conjugate(lam)) != lam or sum(conjugate(lam)) != n:
-                return _result("conjugate-involution", cases, f"lam={lam}")
-    return _result("conjugate-involution", cases)
+class _Law(NamedTuple):
+    """One check as a table row.
 
-
-def check_hook_transpose(p, n_max):
-    """hook(lam, i, j) == hook(conjugate(lam), j, i) cell by cell."""
-    cases = 0
-    for n in range(n_max + 1):
-        for lam in _all_partitions(n):
-            mu = conjugate(lam)
-            for i, part in enumerate(lam, start=1):
-                for j in range(1, part + 1):
-                    cases += 1
-                    if hook_length(lam, i, j) != hook_length(mu, j, i):
-                        return _result("hook-transpose", cases, f"lam={lam}, cell=({i},{j})")
-    return _result("hook-transpose", cases)
-
-
-def check_diagonal_hooks(p, n_max):
-    """Diagonal hooks of a self-conjugate partition: odd, strictly decreasing, summing to n."""
-    cases = 0
-    for n in range(n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_self_conjugate(lam):
-                continue
-            cases += 1
-            hooks = diagonal_hook_lengths(lam)
-            if sum(hooks) != n:
-                return _result("diagonal-hooks", cases, f"lam={lam}: hooks {hooks} do not sum to {n}")
-            if any(h % 2 == 0 for h in hooks):
-                return _result("diagonal-hooks", cases, f"lam={lam}: even hook in {hooks}")
-            if any(hooks[i] <= hooks[i + 1] for i in range(len(hooks) - 1)):
-                return _result("diagonal-hooks", cases, f"lam={lam}: hooks {hooks} not strictly decreasing")
-    return _result("diagonal-hooks", cases)
-
-
-def check_diagonal_hook_correspondence(p, n_max):
-    """Diagonal hooks biject self-conjugate partitions with distinct-odd ones.
-
-    Round-trips through self_conjugate_from_diagonal_hooks, matches the
-    two families setwise, and restricts to BG <-> no part divisible by p.
+    Each record in the domain counts `cases` cases, and `law` returns
+    None or the witness text.  per_size yields None or a witness text
+    once per extra case of a size.
     """
-    cases = 0
-    for n in range(n_max + 1):
-        image = []
-        for lam in _all_partitions(n):
-            if not is_self_conjugate(lam):
-                continue
-            cases += 1
-            hooks = diagonal_hook_lengths(lam)
-            if self_conjugate_from_diagonal_hooks(hooks) != lam:
-                return _result("diagonal-hook-correspondence", cases, f"lam={lam} fails the round trip")
-            if is_bg_partition(lam, p) != all(h % p for h in hooks):
-                return _result("diagonal-hook-correspondence", cases, f"lam={lam}: BG flag disagrees with hooks {hooks}")
-            image.append(tuple(hooks))
-        target = [lam for lam in _all_partitions(n) if has_distinct_odd_parts(lam)]
-        if sorted(image) != sorted(target):
-            return _result("diagonal-hook-correspondence", cases, f"n={n}: image does not match the distinct-odd family")
-    return _result("diagonal-hook-correspondence", cases)
+
+    name: str
+    law: Callable = lambda r: None
+    domain: Callable = lambda r: True
+    sizes: Callable = lambda p, n_max: range(1, n_max + 1)
+    per_size: Callable = lambda sweep, n, recs: ()
+    cases: Callable = lambda r: 1
 
 
-def check_p_rim_structure(p, n_max):
-    """Segment law: p cells each but the last, one row gap between them,
-    first segment leads the rim path, last cell sits in the last row, and
-    removal drops exactly the rim size."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            cases += 1
-            path = rim(lam)
-            pr = p_rim(lam, p)
-            segments = pr.segments
-            if segments[0] != tuple(path[: len(segments[0])]):
-                return _result("p-rim-structure", cases, f"lam={lam}: first segment strays from the rim path")
-            if any(len(seg) != p for seg in segments[:-1]) or not 1 <= len(segments[-1]) <= p:
-                return _result("p-rim-structure", cases, f"lam={lam}: bad segment sizes {[len(s) for s in segments]}")
-            rows_used = [set(c[0] for c in seg) for seg in segments]
-            for a, b in zip(rows_used, rows_used[1:]):
-                if a & b or min(b) != max(a) + 1:
-                    return _result("p-rim-structure", cases, f"lam={lam}: segments do not step down one row")
-            if not set(pr.cells) <= set(path):
-                return _result("p-rim-structure", cases, f"lam={lam}: p-rim leaves the rim")
-            if pr.cells[-1][0] != len(lam):
-                return _result("p-rim-structure", cases, f"lam={lam}: p-rim misses the last row")
-            rest = remove_p_rim(lam, p)
-            if sum(rest) != n - len(pr):
-                return _result("p-rim-structure", cases, f"lam={lam}: removal size mismatch")
-    return _result("p-rim-structure", cases)
+_selfconj, _regular, _bg = attrgetter("selfconj"), attrgetter("regular"), attrgetter("bg")
 
 
-def check_rim_star_structure(p, n_max):
-    """Symmetrized rim stats: a* counts the union, r* the upper half,
-    eps* flags the diagonal cell, and removal is self-conjugate again."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_self_conjugate(lam):
-                continue
-            cases += 1
-            star = p_rim_star(lam, p)
-            diag = [c for c in star.upper if c[0] == c[1]]
-            if star.eps_star != len(diag):
-                return _result("rim-star-structure", cases, f"lam={lam}: eps* {star.eps_star} vs diagonal cells {len(diag)}")
-            if star.a_star != len(set(star.upper) | set(star.lower)):
-                return _result("rim-star-structure", cases, f"lam={lam}: a* does not count the union")
-            if 2 * star.r_star != star.a_star + star.eps_star:
-                return _result("rim-star-structure", cases, f"lam={lam}: 2r* != a* + eps*")
-            rest = remove_p_rim_star(lam, p)
-            if not is_self_conjugate(rest) or sum(rest) != n - star.a_star:
-                return _result("rim-star-structure", cases, f"lam={lam}: removal broke symmetry or size")
-    return _result("rim-star-structure", cases)
+def _from_zero(p, n_max):
+    return range(n_max + 1)
 
 
-def check_rim_star_parity(p, n_max):
-    """An even a* forces p | a*; the converse is false (9 = a* of (5,3,2,1,1) at p=3)."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_self_conjugate(lam):
-                continue
-            cases += 1
-            star = p_rim_star(lam, p)
-            if star.a_star % 2 == 0 and star.a_star % p != 0:
-                return _result("rim-star-parity", cases, f"lam={lam}: a*={star.a_star} even but not divisible by {p}")
-    if p == 3 and n_max >= 12:
-        cases += 1
-        witness = p_rim_star((5, 3, 2, 1, 1), 3)
-        if witness.a_star != 9:
-            return _result("rim-star-parity", cases, f"witness a*={witness.a_star}, expected 9")
-        if witness.a_star % 3 != 0 or witness.a_star % 2 == 0:
-            return _result("rim-star-parity", cases, "witness no longer refutes the converse")
-    return _result("rim-star-parity", cases)
+def _partition_count(sweep, n, recs):
+    """The enumeration against Euler's pentagonal-number recurrence."""
+    counts = [1]  # p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
+    for m in range(1, n + 1):
+        pentagonal = (((-1) ** (k + 1), g) for k in range(1, m + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        counts.append(sum(sign * counts[m - g] for sign, g in pentagonal if g <= m))
+    found = len(sweep[n])
+    yield None if found == counts[n] else f"n={n}: enumerated {found}, recurrence {counts[n]}"
 
 
-def check_bg_four_way(p, n_max):
+def _conjugate_involution(r):
+    back = r.peers.get(r.conj)  # None unless the conjugate is a partition of n
+    return None if back is not None and back.conj == r.lam else f"lam={r.lam}"
+
+
+def _hook_transpose(r):
+    """hook(lam, i, j) against lam_i - j + lam'_j - i + 1, read off the conjugate."""
+    lam, conj = r.lam, r.conj
+    for i, part in enumerate(lam, start=1):
+        for j in range(1, part + 1):
+            if hook_length(lam, i, j) != part - j + conj[j - 1] - i + 1:
+                return f"lam={lam}, cell=({i},{j})"
+
+
+def _diagonal_hooks(r):
+    hooks = r.hooks
+    if sum(hooks) != r.n or any(h % 2 == 0 for h in hooks) or any(a <= b for a, b in zip(hooks, hooks[1:])):
+        return f"lam={r.lam}: hooks {hooks} are not distinct odd numbers summing to {r.n}"
+
+
+def _hook_correspondence(r):
+    if self_conjugate_from_diagonal_hooks(r.hooks) != r.lam:
+        return f"lam={r.lam} fails the round trip"
+    if r.bg != all(h % r.p for h in r.hooks):
+        return f"lam={r.lam}: BG flag disagrees with hooks {r.hooks}"
+
+
+def _hook_image(sweep, n, recs):
+    if sorted(r.hooks for r in recs) != sorted(r.lam for r in sweep[n].values() if r.distinct_odd):
+        yield f"n={n}: image does not match the distinct-odd family"
+
+
+def _p_rim_structure(r):
+    lam, p = r.lam, r.p
+    path, pr = rim(lam), p_rim(lam, p)
+    cells, segments = pr.cells, pr.segments
+    if segments[0] != path[: len(segments[0])]:
+        return f"lam={lam}: first segment strays from the rim path"
+    if any(len(seg) != p for seg in segments[:-1]) or not 1 <= len(segments[-1]) <= p:
+        return f"lam={lam}: bad segment sizes {[len(s) for s in segments]}"
+    rows = [{i for i, _ in seg} for seg in segments]
+    if any(a & b or min(b) != max(a) + 1 for a, b in zip(rows, rows[1:])):
+        return f"lam={lam}: segments do not step down one row"
+    if not set(cells) <= set(path) or cells[-1][0] != len(lam):
+        return f"lam={lam}: p-rim leaves the rim or misses the last row"
+    if sum(remove_p_rim(lam, p)) != r.n - len(pr):
+        return f"lam={lam}: removal size mismatch"
+
+
+def _rim_star_structure(r):
+    """a* counts the union of both halves, r* the upper one, eps* the diagonal cell."""
+    star, upper = r.star, r.star.upper
+    diagonal = sum(1 for i, j in upper if i == j)
+    if star.eps_star != diagonal or star.a_star != len(set(upper) | set(star.lower)) or 2 * star.r_star != star.a_star + diagonal:
+        return f"lam={r.lam}: a*={star.a_star}, r*={star.r_star}, eps*={star.eps_star} disagree with the cells"
+    if not is_self_conjugate(r.star_rest) or sum(r.star_rest) != r.n - star.a_star:
+        return f"lam={r.lam}: removal broke symmetry or size"
+
+
+def _rim_star_parity(r):
+    """An even a* forces p | a*."""
+    if r.star.a_star % 2 == 0 and r.star.a_star % r.p:
+        return f"lam={r.lam}: a*={r.star.a_star} even but not divisible by {r.p}"
+
+
+def _parity_converse(sweep, n, recs):
+    """The converse fails: (5,3,2,1,1) has a* = 9 at p = 3, odd and divisible by 3."""
+    if sweep.p == 3 and n == 12:
+        a = sweep[12][(5, 3, 2, 1, 1)].star.a_star
+        yield None if a == 9 else f"witness a*={a}, expected 9"
+
+
+def _bg_four_way(r):
     """On BG-partitions: eps*=0, a* even, no diagonal rim cell, p | a* agree."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_bg_partition(lam, p):
-                continue
-            cases += 1
-            star = p_rim_star(lam, p)
-            flags = (
-                star.eps_star == 0,
-                star.a_star % 2 == 0,
-                not any(c[0] == c[1] for c in star.upper),
-                star.a_star % p == 0,
-            )
-            if len(set(flags)) != 1:
-                return _result("bg-four-way", cases, f"lam={lam}: flags {flags} disagree")
-    return _result("bg-four-way", cases)
+    star = r.star
+    flags = (star.eps_star == 0, star.a_star % 2 == 0, not any(i == j for i, j in star.upper), star.a_star % r.p == 0)
+    if len(set(flags)) != 1:
+        return f"lam={r.lam}: flags {flags} disagree"
 
 
-def check_bg_truncation(p, n_max):
-    """The first Durfee-many rows of a BG-partition form a p-regular partition."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_bg_partition(lam, p):
-                continue
-            cases += 1
-            if not is_p_regular(truncate_to_durfee(lam), p):
-                return _result("bg-truncation", cases, f"lam={lam}")
-    return _result("bg-truncation", cases)
+def _bg_symbols_distinct(sweep, n, recs):
+    seen = {}
+    for r in recs:
+        if r.bg_sym in seen:
+            yield f"{seen[r.bg_sym]} and {r.lam} share {r.bg_sym.to_text()}"
+            return
+        seen[r.bg_sym] = r.lam
 
 
-def check_bg_closure(p, n_max):
-    """Removing the symmetrized rim from a BG-partition lands on a BG-partition."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_bg_partition(lam, p):
-                continue
-            cases += 1
-            if not is_bg_partition(remove_p_rim_star(lam, p), p):
-                return _result("bg-closure", cases, f"lam={lam}")
-    return _result("bg-closure", cases)
+def _bg_symbol_validates(r):
+    sym = r.bg_sym
+    ok, why = validate_symbol(sym)
+    if not ok:
+        return f"lam={r.lam}: {why}"
+    if any(sym.a[i] != 2 * sym.r[i] - sym.eps(i) for i in range(len(sym))):
+        return f"lam={r.lam}: a != 2r - eps in {sym.to_text()}"
 
 
-def check_bg_symbol_injective(p, n_max):
-    cases = 0
-    for n in range(n_max + 1):
-        seen = {}
-        for lam in _all_partitions(n):
-            if not is_self_conjugate(lam):
-                continue
-            cases += 1
-            key = bg_symbol(lam, p)
-            if key in seen:
-                return _result("bg-symbol-injective", cases, f"{seen[key]} and {lam} share {key.to_text()}")
-            seen[key] = lam
-    return _result("bg-symbol-injective", cases)
+def _symbol_roundtrip(r):
+    sym = mullineux_symbol(r.lam, r.p)
+    ok, why = validate_symbol(sym)
+    if not ok:
+        return f"lam={r.lam}: {why}"
+    if reconstruct(sym) != r.lam:
+        return f"lam={r.lam} reconstructs to {reconstruct(sym)}"
 
 
-def check_bg_symbol_validates(p, n_max):
-    """BG symbols satisfy the column conditions and a*_i = 2 r*_i - eps_i."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_bg_partition(lam, p):
-                continue
-            cases += 1
-            sym = bg_symbol(lam, p)
-            ok, why = validate_symbol(sym)
-            if not ok:
-                return _result("bg-symbol-validates", cases, f"lam={lam}: {why}")
-            if any(sym.a[i] != 2 * sym.r[i] - sym.eps(i) for i in range(len(sym))):
-                return _result("bg-symbol-validates", cases, f"lam={lam}: a != 2r - eps in {sym.to_text()}")
-    return _result("bg-symbol-validates", cases)
+def _involution(r):
+    back = r.peers.get(r.image)  # the image's own record: m(m(lam)) is its image
+    if back is None or not back.regular:
+        return f"lam={r.lam}: image {r.image} leaves the domain"
+    if back.image != r.lam:
+        return f"lam={r.lam}: m(m(lam)) = {back.image}"
 
 
-def check_symbol_roundtrip(p, n_max):
-    """Computed symbols pass validation and reconstruct to their partition."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_p_regular(lam, p):
-                continue
-            cases += 1
-            sym = mullineux_symbol(lam, p)
-            ok, why = validate_symbol(sym)
-            if not ok:
-                return _result("symbol-roundtrip", cases, f"lam={lam}: {why}")
-            if reconstruct(sym) != lam:
-                return _result("symbol-roundtrip", cases, f"lam={lam} reconstructs to {reconstruct(sym)}")
-    return _result("symbol-roundtrip", cases)
+def _layer_postconditions(r):
+    for eps, m in [(1, m) for m in range(r.p)] + ([(0, 0)] if r.lam else []):
+        grown = add_rim_star_layer(r.lam, eps, m, r.p)
+        star = p_rim_star(grown, r.p)
+        if star.eps_star != eps or (star.r_star - star.eps_star) % r.p != m:
+            return f"base={r.lam}, eps={eps}, m={m}: stats off"
+        if remove_p_rim_star(grown, r.p) != r.lam:
+            return f"base={r.lam}, eps={eps}, m={m}: removal misses the base"
 
 
-def check_mullineux_involution(p, n_max):
-    """The map is a size-preserving involution on p-regular partitions."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_p_regular(lam, p):
-                continue
-            cases += 1
-            mu = mullineux_map(lam, p)
-            if not is_p_regular(mu, p) or sum(mu) != n:
-                return _result("mullineux-involution", cases, f"lam={lam}: image {mu} leaves the domain")
-            if mullineux_map(mu, p) != lam:
-                return _result("mullineux-involution", cases, f"lam={lam}: m(m(lam)) = {mullineux_map(mu, p)}")
-    return _result("mullineux-involution", cases)
+def _bijection_roundtrip(r):
+    if r.bg and mull_to_bg(r.partner, r.p) != r.lam:
+        return f"lam={r.lam}: mull_to_bg(bg_to_mull) = {mull_to_bg(r.partner, r.p)}"
+    if r.self_mull:
+        back = r.peers.get(mull_to_bg(r.lam, r.p))
+        if back is None or not back.bg or back.partner != r.lam:
+            return f"mu={r.lam}: bg_to_mull(mull_to_bg) misses"
 
 
-def check_self_mullineux_fixed_points(p, n_max):
-    """is_self_mullineux agrees with literally applying the map."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for lam in _all_partitions(n):
-            if not is_p_regular(lam, p):
-                continue
-            cases += 1
-            if is_self_mullineux(lam, p) != (mullineux_map(lam, p) == lam):
-                return _result("self-mullineux-fixed-points", cases, f"lam={lam}")
-    return _result("self-mullineux-fixed-points", cases)
+def _bijection_families(sweep, n, recs):
+    """The image is the self-Mullineux family, and all three families have the gf coefficient's size."""
+    image = [r.partner for r in recs if r.bg]
+    mull = [r.lam for r in recs if r.self_mull]
+    odd = [r for r in sweep[n].values() if r.distinct_odd and _has_distinct_odd_parts(r.lam, sweep.p)]
+    if sorted(image) != sorted(mull):
+        yield f"n={n}: image {image} is not the self-Mullineux family {mull}"
+    elif not len(image) == len(mull) == len(odd) == sweep.gf[n]:
+        yield f"n={n}: counts bg={len(image)}, mull={len(mull)}, distinct-odd={len(odd)}, gf={sweep.gf[n]}"
+    else:
+        yield None
 
 
-def check_small_size_conjugation(p, n_max):
-    """Below n = p the map degenerates to conjugation."""
-    cases = 0
-    for n in range(1, min(n_max, p - 1) + 1):
-        for lam in _all_partitions(n):
-            cases += 1
-            if mullineux_map(lam, p) != conjugate(lam):
-                return _result("small-size-conjugation", cases, f"lam={lam}")
-    return _result("small-size-conjugation", cases)
-
-
-def check_layer_postconditions(p, n_max):
-    """add_rim_star_layer hits its contract on every base and parameter pair."""
-    cases = 0
-    for n in range(n_max + 1):
-        for base in _all_partitions(n):
-            if not is_self_conjugate(base):
-                continue
-            params = [(1, m) for m in range(p)]
-            if base:
-                params.append((0, 0))
-            for eps, m in params:
-                cases += 1
-                grown = add_rim_star_layer(base, eps, m, p)
-                star = p_rim_star(grown, p)
-                if star.eps_star != eps or (star.r_star - star.eps_star) % p != m:
-                    return _result("layer-postconditions", cases, f"base={base}, eps={eps}, m={m}: stats off")
-                if remove_p_rim_star(grown, p) != base:
-                    return _result("layer-postconditions", cases, f"base={base}, eps={eps}, m={m}: removal misses the base")
-    return _result("layer-postconditions", cases)
-
-
-def check_bijection_roundtrip(p, n_max):
-    """bg_to_mull pairs the BG and self-Mullineux families exactly, with
-    mull_to_bg as two-sided inverse; both counts equal the distinct-odd
-    count and the generating function coefficient."""
-    gf = bg_counts_from_gf(p, n_max)
-    cases = 0
-    for n in range(n_max + 1):
-        bg, mull, distodd = [], [], []
-        for lam in _all_partitions(n):
-            if is_bg_partition(lam, p):
-                bg.append(lam)
-            if is_p_regular(lam, p) and is_self_mullineux(lam, p):
-                mull.append(lam)
-            if has_distinct_odd_parts(lam, p):
-                distodd.append(lam)
-        image = []
-        for lam in bg:
-            cases += 1
-            mu = bg_to_mull(lam, p)
-            image.append(mu)
-            if mull_to_bg(mu, p) != lam:
-                return _result("bijection-roundtrip", cases, f"lam={lam}: mull_to_bg(bg_to_mull) = {mull_to_bg(mu, p)}")
-        for mu in mull:
-            cases += 1
-            if bg_to_mull(mull_to_bg(mu, p), p) != mu:
-                return _result("bijection-roundtrip", cases, f"mu={mu}: bg_to_mull(mull_to_bg) misses")
-        cases += 1
-        if sorted(image) != sorted(mull):
-            return _result("bijection-roundtrip", cases, f"n={n}: image {image} is not the self-Mullineux family {mull}")
-        if not len(bg) == len(mull) == len(distodd) == gf[n]:
-            return _result(
-                "bijection-roundtrip",
-                cases,
-                f"n={n}: counts bg={len(bg)}, mull={len(mull)}, distinct-odd={len(distodd)}, gf={gf[n]}",
-            )
-    return _result("bijection-roundtrip", cases)
-
-
-CHECKS = (
-    check_partition_count,
-    check_conjugate_involution,
-    check_hook_transpose,
-    check_diagonal_hooks,
-    check_diagonal_hook_correspondence,
-    check_p_rim_structure,
-    check_rim_star_structure,
-    check_rim_star_parity,
-    check_bg_four_way,
-    check_bg_truncation,
-    check_bg_closure,
-    check_bg_symbol_injective,
-    check_bg_symbol_validates,
-    check_symbol_roundtrip,
-    check_mullineux_involution,
-    check_self_mullineux_fixed_points,
-    check_small_size_conjugation,
-    check_layer_postconditions,
-    check_bijection_roundtrip,
+LAWS = (
+    _Law("partition-count", domain=lambda r: False, sizes=_from_zero, per_size=_partition_count),
+    _Law("conjugate-involution", _conjugate_involution, sizes=_from_zero),
+    _Law("hook-transpose", _hook_transpose, sizes=_from_zero, cases=lambda r: r.n),
+    _Law("diagonal-hooks", _diagonal_hooks, _selfconj, _from_zero),
+    _Law("diagonal-hook-correspondence", _hook_correspondence, _selfconj, _from_zero, _hook_image),
+    _Law("p-rim-structure", _p_rim_structure),
+    _Law("rim-star-structure", _rim_star_structure, _selfconj),
+    _Law("rim-star-parity", _rim_star_parity, _selfconj, per_size=_parity_converse),
+    _Law("bg-four-way", _bg_four_way, _bg),
+    _Law("bg-truncation", lambda r: None if is_p_regular(truncate_to_durfee(r.lam), r.p) else f"lam={r.lam}", _bg),
+    _Law("bg-closure", lambda r: None if is_bg_partition(r.star_rest, r.p) else f"lam={r.lam}", _bg),
+    _Law("bg-symbol-injective", domain=_selfconj, sizes=_from_zero, per_size=_bg_symbols_distinct),
+    _Law("bg-symbol-validates", _bg_symbol_validates, _bg),
+    _Law("symbol-roundtrip", _symbol_roundtrip, _regular),
+    _Law("mullineux-involution", _involution, _regular),
+    _Law("self-mullineux-fixed-points", lambda r: None if r.self_mull == (r.image == r.lam) else f"lam={r.lam}", _regular),
+    # below n = p every partition is p-regular and the map degenerates to conjugation
+    _Law("small-size-conjugation", lambda r: None if r.image == r.conj else f"lam={r.lam}", sizes=lambda p, n: range(1, min(n, p - 1) + 1)),
+    _Law("layer-postconditions", _layer_postconditions, _selfconj, _from_zero, cases=lambda r: r.p + bool(r.lam)),
+    _Law("bijection-roundtrip", _bijection_roundtrip, lambda r: r.bg or r.self_mull, _from_zero, _bijection_families, lambda r: r.bg + r.self_mull),
 )
 
 
+def _check(law):
+    """The row as a check_<name>(p, n_max, sweep=None) callable."""
+
+    def check(p, n_max, sweep=None):
+        sweep = _Sweep(p, n_max) if sweep is None else sweep
+        cases = 0
+        for n in law.sizes(p, n_max):
+            recs = [r for r in sweep[n].values() if law.domain(r)]
+            for r in recs:
+                cases += law.cases(r)
+                witness = law.law(r)
+                if witness:
+                    return CheckResult(law.name, False, witness, cases)
+            for witness in law.per_size(sweep, n, recs):
+                cases += 1
+                if witness:
+                    return CheckResult(law.name, False, witness, cases)
+        return CheckResult(law.name, True, f"{cases} cases", cases)
+
+    check.__name__ = check.__qualname__ = "check_" + law.name.replace("-", "_")
+    return check
+
+
+CHECKS = tuple(_check(law) for law in LAWS)
+(check_partition_count, check_conjugate_involution, check_hook_transpose, check_diagonal_hooks, check_diagonal_hook_correspondence,
+ check_p_rim_structure, check_rim_star_structure, check_rim_star_parity, check_bg_four_way, check_bg_truncation, check_bg_closure,
+ check_bg_symbol_injective, check_bg_symbol_validates, check_symbol_roundtrip, check_mullineux_involution,
+ check_self_mullineux_fixed_points, check_small_size_conjugation, check_layer_postconditions, check_bijection_roundtrip) = CHECKS
+
+
 def run_checks(p, n_max):
-    """Run every check at (p, n_max); returns the CheckResult list."""
-    return [fn(p, n_max) for fn in CHECKS]
+    """Run every check at (p, n_max) over one shared sweep; returns the CheckResult list.
+
+    Each result's seconds times its CHECKS call, so the first check to
+    need a record value also pays for computing it.
+    """
+    sweep, results = _Sweep(p, n_max), []
+    for check in CHECKS:
+        start = time.perf_counter()
+        results.append(replace(check(p, n_max, sweep), seconds=time.perf_counter() - start))
+    return results

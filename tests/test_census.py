@@ -4,7 +4,10 @@ import functools
 import itertools
 import json
 
+import pytest
+
 from mulli import bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of
+from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux
 
 
 @functools.cache
@@ -136,3 +139,48 @@ def test_census_json_round_trips():
     back = json.loads(blob)
     assert back["all_count"] == 42
     assert [tuple(x) for x in back["bg"]] == list(report.bg)
+
+
+def _recursive_partitions(n, largest):
+    """The recursive enumeration partitions_of replaced, as an order oracle."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_the_recursive_order():
+    for n in range(21):
+        assert list(partitions_of(n)) == list(_recursive_partitions(n, n))
+        for largest in range(n + 2):
+            assert list(partitions_of(n, largest)) == list(_recursive_partitions(n, largest)), (n, largest)
+
+
+def test_partitions_of_needs_no_recursion():
+    assert next(partitions_of(3000, 1)) == (1,) * 3000
+    assert next(partitions_of(3000)) == (3000,)
+
+
+@pytest.mark.parametrize("largest", [2.5, -3, True, "4"])
+def test_partitions_of_rejects_a_bad_largest(largest):
+    with pytest.raises(ValueError):
+        next(partitions_of(4, largest))
+
+
+@pytest.mark.parametrize("p", [0, 2, 4, 1, -3])
+def test_has_distinct_odd_parts_checks_p(p):
+    with pytest.raises(ValueError):
+        has_distinct_odd_parts((3, 1), p)
+
+
+def test_census_agrees_with_the_public_predicates():
+    for p, n in itertools.product((3, 5, 7), range(17)):
+        lams = list(partitions_of(n))
+        report = census(p, n)
+        assert report.p_regular_count == sum(is_p_regular(lam, p) for lam in lams)
+        assert report.self_conjugate == tuple(lam for lam in lams if is_self_conjugate(lam))
+        assert report.bg == tuple(lam for lam in lams if is_bg_partition(lam, p))
+        assert report.self_mullineux == tuple(lam for lam in lams if is_p_regular(lam, p) and is_self_mullineux(lam, p))
+        assert report.distinct_odd_nondiv == tuple(lam for lam in lams if has_distinct_odd_parts(lam, p))

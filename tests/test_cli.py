@@ -190,3 +190,34 @@ def test_broken_invariant_exits_4(monkeypatch, capsys):
     assert captured.err == "internal error: rim removal broke the diagram of (5,)\n"
     assert cli.main(["map", "-p", "3", "--format", "json", "5"]) == 4
     assert json.loads(capsys.readouterr().out) == {"error": "rim removal broke the diagram of (5,)", "internal": True}
+
+
+def test_large_prime_p_is_decided_at_once():
+    out = run_cli("symbol", "-p", "2305843009213693951", "5")  # 2^61 - 1
+    assert out.returncode == 0
+    assert out.stderr == ""
+    out = run_cli("symbol", "-p", "6917529027641081853", "5")  # 3 (2^61 - 1)
+    assert out.returncode == 0
+    assert "is not prime" in out.stderr
+
+
+def test_strong_pseudoprime_to_the_first_twelve_bases_is_composite():
+    from mulli.cli import _is_prime
+
+    assert _is_prime(318665857834031151167461) is False
+    assert _is_prime(1000000000000000003) is True
+
+
+def test_p_beyond_the_primality_bound_is_not_known_prime():
+    big = str(2**89 - 1)  # a Mersenne prime above the bound
+    out = run_cli("symbol", "-p", big, "5")
+    assert out.returncode == 0
+    assert "not known to be prime" in out.stderr
+    assert run_cli("symbol", "-p", big, "--strict-prime", "5").returncode == 1
+
+
+def test_verify_json_reports_seconds():
+    out = run_cli("verify", "-p", "3", "-n", "6", "--format", "json")
+    assert out.returncode == 0
+    checks = json.loads(out.stdout)
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)

@@ -141,3 +141,12 @@ def test_involution(lam, p):
     if not is_p_regular(lam, p):
         lam = tuple(sorted(set(lam), reverse=True))
     assert mullineux_map(mullineux_map(lam, p), p) == lam
+
+
+def test_is_self_mullineux_keeps_its_errors():
+    with pytest.raises(ValueError, match=r"\(2, 1, 1, 1\) is not 3-regular"):
+        is_self_mullineux((2, 1, 1, 1), 3)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        is_self_mullineux((1, 3), 3)
+    with pytest.raises(ValueError, match="p must be an odd integer"):
+        is_self_mullineux((3, 1), 4)

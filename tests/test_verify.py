@@ -1,6 +1,9 @@
 """The check harness itself: all green on small sweeps, bookkeeping sane."""
 
-from mulli import run_checks
+import dataclasses
+import json
+
+from mulli import cli, run_checks, verify
 from mulli.verify import CHECKS, check_rim_star_parity, check_small_size_conjugation
 
 
@@ -37,3 +40,48 @@ def _selfconj_of_12():
 def test_degeneration_check_respects_p():
     # only sizes below p are in scope, so cases stop growing there
     assert check_small_size_conjugation(5, 4).cases == check_small_size_conjugation(5, 30).cases
+
+
+# per-check case counts of the 19 checks, in report order
+CASES_3_12 = [13, 272, 2646, 18, 18, 271, 17, 18, 8, 8, 8, 18, 8, 144, 144, 144, 3, 71, 31]
+CASES_7_12 = [13, 272, 2646, 18, 18, 271, 17, 17, 12, 12, 12, 18, 12, 252, 252, 252, 29, 143, 39]
+
+
+def test_case_counts_are_pinned():
+    for p, want in ((3, CASES_3_12), (7, CASES_7_12)):
+        results = run_checks(p, 12)
+        assert all(r.ok for r in results)
+        assert [r.cases for r in results] == want
+
+
+def test_seconds_are_measured_but_not_compared():
+    results = run_checks(3, 8)
+    assert all(r.seconds >= 0 for r in results) and sum(r.seconds for r in results) > 0
+    assert results == [dataclasses.replace(r, seconds=0.0) for r in results]
+
+
+def _off_by_one_on_one_cell(monkeypatch):
+    real = verify.hook_length
+
+    def wrong(lam, row, col):
+        return real(lam, row, col) + (1 if (lam, row, col) == ((3, 2, 1), 1, 2) else 0)
+
+    monkeypatch.setattr(verify, "hook_length", wrong)
+
+
+def test_a_failing_law_reports_its_witness(monkeypatch):
+    good = run_checks(3, 8)
+    _off_by_one_on_one_cell(monkeypatch)
+    bad = run_checks(3, 8)
+    assert [r.name for r in bad if not r.ok] == ["hook-transpose"]
+    failing = next(r for r in bad if not r.ok)
+    assert failing.detail == "lam=(3, 2, 1), cell=(1,2)"
+    assert [(r.name, r.cases) for r in bad if r.ok] == [(r.name, r.cases) for r in good if r.name != "hook-transpose"]
+
+
+def test_a_failing_law_exits_3(monkeypatch, capsys):
+    _off_by_one_on_one_cell(monkeypatch)
+    assert cli.main(["verify", "-p", "3", "-n", "8", "--format", "json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in out if not r["ok"]] == ["hook-transpose"]
+    assert all(set(r) == {"name", "ok", "detail", "cases", "seconds"} for r in out)
