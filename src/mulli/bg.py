@@ -6,12 +6,14 @@ self-conjugate partition and recording (a*_i; r*_i) per step yields its
 bg symbol; on BG-partitions these are exactly the symbols of the
 self-Mullineux partitions (fixed points of mullineux_map), which makes
 the map "compute bg symbol, reinterpret, reconstruct" a bijection.  The
-reverse direction rebuilds the BG-partition layer by layer.
+reverse direction rebuilds the BG-partition layer by layer.  Both
+directions validate their input once, then pass trusted columns (a, r).
 """
 
-from .partitions import _conjugate, _durfee, _is_bg, _is_weakly_decreasing, _symmetric, _top_hooks, _top_size, as_partition, check_odd_p
-from .rims import _grow, _peel, _star_stats
-from .symbols import Symbol, mullineux_symbol, reconstruct
+from .partitions import MAX_CELLS, _conjugate, _durfee, _is_bg, _is_weakly_decreasing, _regular_arg, _self_conjugate_arg
+from .partitions import _symmetric, _top_hooks, _top_size, as_partition, check_odd_p
+from .rims import _grow
+from .symbols import Symbol, _columns, _eps, _is_fixed, _reconstruct
 
 
 def bg_symbol(lam, p) -> Symbol:
@@ -20,20 +22,7 @@ def bg_symbol(lam, p) -> Symbol:
     Defined on every self-conjugate partition (two different ones never
     share a bg symbol); the empty partition gives the empty symbol.
     """
-    lam = as_partition(lam)
-    check_odd_p(p)
-    if lam != _conjugate(lam):
-        raise ValueError(f"{lam} is not self-conjugate")
-    return _bg_symbol(lam, p)
-
-
-def _bg_symbol(lam, p) -> Symbol:
-    a, r = [], []
-    for top, counts in _peel(lam, p, star=True):
-        a_star, r_star, _ = _star_stats(top, counts)
-        a.append(a_star)
-        r.append(r_star)
-    return Symbol(p, tuple(a), tuple(r), kind="bg")
+    return Symbol(p, *_columns(_self_conjugate_arg(lam, p), p, star=True), kind="bg")
 
 
 def add_rim_star_layer(base, eps, m, p) -> tuple:
@@ -68,7 +57,10 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
         raise ValueError("a layer on the empty partition must contain the diagonal cell")
     if base != _conjugate(base):
         raise ValueError(f"{base} is not self-conjugate")
-    return _symmetric(_add_layer(base[: _durfee(base)], eps, m, p))
+    top = _add_layer(base[: _durfee(base)], eps, m, p)
+    if _top_size(top) > MAX_CELLS:
+        raise ValueError(f"the grown partition of {_top_size(top)} cells exceeds the size cap {MAX_CELLS}")
+    return _symmetric(top)
 
 
 def _add_layer(top, eps, m, p) -> tuple:
@@ -104,7 +96,7 @@ def bg_to_mull(lam, p) -> tuple:
     check_odd_p(p)
     if not _is_bg(lam, p):
         raise ValueError(f"{lam} is not a BG-partition for p={p}")
-    return reconstruct(_bg_symbol(lam, p).as_mullineux())
+    return _reconstruct(*_columns(lam, p, star=True), p)
 
 
 def mull_to_bg(lam, p) -> tuple:
@@ -118,22 +110,22 @@ def mull_to_bg(lam, p) -> tuple:
     intermediate partition must be a BG-partition; the final one has bg
     symbol equal to the input's symbol.
     """
-    sym = mullineux_symbol(lam, p)
-    for i in range(len(sym)):
-        if sym.a[i] != 2 * sym.r[i] - sym.eps(i):
-            raise ValueError(f"{as_partition(lam)} is not self-Mullineux for p={p} (column {i})")
-    if not sym.a:
+    lam = _regular_arg(lam, p)
+    a, r = _columns(lam, p)
+    for i in range(len(a)):
+        if not _is_fixed(a[i], r[i], p):
+            raise ValueError(f"{lam} is not self-Mullineux for p={p} (column {i})")
+    if not a:
         return ()
-    last = len(sym) - 1
-    if sym.eps(last) != 1:
-        raise RuntimeError(f"last column of {sym.to_text()} has eps = 0; impossible for a fixed point")
+    if _eps(a[-1], p) != 1:
+        raise RuntimeError(f"last column of {Symbol(p, a, r).to_text()} has eps = 0; impossible for a fixed point")
     # intermediates are kept as Durfee rows; every valid top is self-conjugate
-    top = (sym.r[last],)
+    top = (r[-1],)
     if any(h % p == 0 for h in _top_hooks(top)):
         raise RuntimeError(f"seed hook {_symmetric(top)} is not a BG-partition for p={p}")
-    for i in range(last - 1, -1, -1):
-        eps = sym.eps(i)
-        top = _add_layer(top, eps, (sym.r[i] - eps) % p, p)
+    for i in range(len(a) - 2, -1, -1):
+        eps = _eps(a[i], p)
+        top = _add_layer(top, eps, (r[i] - eps) % p, p)
         if any(h % p == 0 for h in _top_hooks(top)):
             raise RuntimeError(f"intermediate {_symmetric(top)} is not a BG-partition for p={p}")
     return _symmetric(top)

@@ -195,6 +195,24 @@ def is_p_regular(lam, p) -> bool:
     return _is_p_regular(lam, p)
 
 
+def _regular_arg(lam, p) -> tuple[int, ...]:
+    """The validated partition of a function defined on p-regular partitions."""
+    lam = as_partition(lam)
+    check_odd_p(p)
+    if not _is_p_regular(lam, p):
+        raise ValueError(f"{lam} is not {p}-regular")
+    return lam
+
+
+def _self_conjugate_arg(lam, p) -> tuple[int, ...]:
+    """The validated partition of a function defined on self-conjugate partitions."""
+    lam = as_partition(lam)
+    check_odd_p(p)
+    if lam != _conjugate(lam):
+        raise ValueError(f"{lam} is not self-conjugate")
+    return lam
+
+
 def _is_p_regular(lam, p) -> bool:
     # parts are sorted, so a value repeats p times iff it spans p consecutive places
     return all(first != last for first, last in zip(lam, lam[p - 1 :]))

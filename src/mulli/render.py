@@ -1,6 +1,6 @@
 """ASCII Young diagrams, plain or labelled by peeling iteration."""
 
-from .partitions import _conjugate, as_partition, check_odd_p
+from .partitions import _self_conjugate_arg, as_partition, check_odd_p
 from .rims import _mirrored, _peel, _tail_cells
 
 
@@ -20,13 +20,11 @@ def peel_iterations(lam, p, star=False):
     star=False peels p-rims, star=True symmetrized p-rims (the latter
     needs a self-conjugate partition).
     """
+    if star:
+        return [_mirrored(_tail_cells(top, counts)) for top, counts in _peel(_self_conjugate_arg(lam, p), p, star=True)]
     lam = as_partition(lam)
     check_odd_p(p)
-    if not star:
-        return [_tail_cells(rows, counts) for rows, counts in _peel(lam, p)]
-    if lam != _conjugate(lam):
-        raise ValueError(f"{lam} is not self-conjugate")
-    return [_mirrored(_tail_cells(top, counts)) for top, counts in _peel(lam, p, star=True)]
+    return [_tail_cells(rows, counts) for rows, counts in _peel(lam, p)]
 
 
 def render_peeled(lam, p, star=False):

@@ -22,7 +22,7 @@ public functions validate their input once.
 
 from dataclasses import dataclass
 
-from .partitions import _conjugate, _durfee, _is_weakly_decreasing, _symmetric, as_partition, check_odd_p
+from .partitions import _durfee, _is_weakly_decreasing, _self_conjugate_arg, _symmetric, as_partition, check_odd_p
 
 
 def _tail_cells(rows, counts) -> tuple:
@@ -227,12 +227,9 @@ def p_rim_star(lam, p) -> PRimStar:
     r_star = (a_star + eps_star) / 2 with eps_star = a_star mod 2, and
     eps_star = 1 exactly when the rim* contains a diagonal cell.
     """
-    lam = as_partition(lam)
-    check_odd_p(p)
+    lam = _self_conjugate_arg(lam, p)
     if not lam:
         raise ValueError("the empty partition has no rim")
-    if lam != _conjugate(lam):
-        raise ValueError(f"{lam} is not self-conjugate")
     top = lam[: _durfee(lam)]
     counts = _star_counts(top, p)
     return PRimStar(lam, tuple(counts), *_star_stats(top, counts))

@@ -8,12 +8,35 @@ reversing the peeling (reconstruct).  Replacing each r_i by
 s_i = a_i + eps_i - r_i and rebuilding gives an involution on p-regular
 partitions (mullineux_map); its fixed points are recognized directly on
 the symbol by a_i = 2 r_i - eps_i.
+
+Symbol is the public boundary type: inside the library a symbol travels
+as its trusted columns (a, r), from _columns to _reconstruct.
 """
 
 from dataclasses import dataclass
 
-from .partitions import _is_p_regular, _is_weakly_decreasing, as_partition, check_odd_p
-from .rims import _grow, _peel, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
+from .partitions import MAX_CELLS, _is_weakly_decreasing, _regular_arg, check_odd_p
+from .rims import _grow, _peel, _star_stats, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
+
+
+def _eps(a, p) -> int:
+    """eps of a column with rim size a: 0 when p divides a, else 1."""
+    return 0 if a % p == 0 else 1
+
+
+def _is_fixed(a, r, p) -> bool:
+    """The fixed-point rule of one column: a = 2 r - eps."""
+    return a == 2 * r - _eps(a, p)
+
+
+def _columns(lam, p, star=False) -> tuple:
+    """Columns (a, r) of a trusted partition, one per peeling step; star=True gives the bg columns."""
+    a, r = [], []
+    for rows, counts in _peel(lam, p, star):
+        a_i, r_i = _star_stats(rows, counts)[:2] if star else (sum(counts), len(rows))
+        a.append(a_i)
+        r.append(r_i)
+    return tuple(a), tuple(r)
 
 
 @dataclass(frozen=True)
@@ -51,13 +74,10 @@ class Symbol:
         return sum(self.a)
 
     def eps(self, i) -> int:
-        return 0 if self.a[i] % self.p == 0 else 1
+        return _eps(self.a[i], self.p)
 
     def columns(self) -> tuple:
         return tuple(zip(self.a, self.r))
-
-    def as_mullineux(self) -> "Symbol":
-        return self if self.kind == "mullineux" else Symbol(self.p, self.a, self.r)
 
     def to_text(self) -> str:
         """The matrix form, e.g. '9 5 5 / 4 2 2' ('/' alone when empty)."""
@@ -89,15 +109,7 @@ def mullineux_symbol(lam, p) -> Symbol:
     Defined on p-regular partitions; the empty partition gives the empty
     symbol (zero columns).
     """
-    lam = as_partition(lam)
-    check_odd_p(p)
-    if not _is_p_regular(lam, p):
-        raise ValueError(f"{lam} is not {p}-regular")
-    a, r = [], []
-    for rows, counts in _peel(lam, p):
-        a.append(sum(counts))
-        r.append(len(rows))
-    return Symbol(p, tuple(a), tuple(r))
+    return Symbol(p, *_columns(_regular_arg(lam, p), p))
 
 
 def validate_symbol(sym: Symbol) -> tuple[bool, str]:
@@ -117,7 +129,7 @@ def validate_symbol(sym: Symbol) -> tuple[bool, str]:
     if not a:
         return True, ""
     last = len(a) - 1
-    eps = [sym.eps(i) for i in range(len(a))]
+    eps = [_eps(x, p) for x in a]
     for i in range(last):
         d = r[i] - r[i + 1]
         if not eps[i] <= d < p + eps[i]:
@@ -134,40 +146,39 @@ def validate_symbol(sym: Symbol) -> tuple[bool, str]:
     return True, ""
 
 
-def _add_rim(rows, total, start_row, p):
-    """Grow one peeled rim back onto the row ends `rows`, bottom group first.
-
-    The walk starts at the first vacant column of start_row.  The bottom
-    group holds total mod p cells (a full p when the remainder is zero),
-    every later group exactly p; within a group each cell goes directly
-    above the last one if that spot is vacant, else to its right, and
-    between groups the walk jumps one row up to the first vacant column.
-    The final cell must land in row 1 with exactly `total` cells placed.
-    """
-    rows.extend([0] * (start_row - len(rows)))
-    placed = _grow(rows, start_row, total % p or p, p)
-    if placed != total:
-        raise RuntimeError(f"rim growth reached row 1 with {placed} of {total} cells placed")
-
-
 def reconstruct(sym: Symbol) -> tuple:
     """Rebuild the unique partition whose symbol this is.
 
-    Starts from the hook (a_l - r_l + 1, 1^(r_l - 1)) and re-adds the
-    rims right to left via _add_rim.  Raises ValueError on an invalid
-    symbol and RuntimeError if growth ever leaves a non-partition shape
+    Raises ValueError on an invalid symbol or one of more than MAX_CELLS
+    cells, and RuntimeError if growth ever leaves a non-partition shape
     (which would mean a bug, not bad input).
     """
     ok, why = validate_symbol(sym)
     if not ok:
         raise ValueError(f"invalid symbol: {why}")
-    if not sym.a:
+    if sym.size > MAX_CELLS:
+        raise ValueError(f"symbol of size {sym.size} exceeds the size cap {MAX_CELLS}")
+    return _reconstruct(sym.a, sym.r, sym.p)
+
+
+def _reconstruct(a, r, p) -> tuple:
+    """reconstruct on trusted columns: from the hook (a_l - r_l + 1, 1^(r_l - 1)), re-add rims right to left.
+
+    The rim of column i starts at the first vacant column of row r_i;
+    its bottom group holds a_i mod p cells (a full p when the remainder
+    is zero), every later group exactly p; within a group each cell goes
+    directly above the last one if that spot is vacant, else to its
+    right, and between groups the walk jumps one row up to the first
+    vacant column.  The last cell must land in row 1 as the a_i-th.
+    """
+    if not a:
         return ()
-    a, r, p = sym.a, sym.r, sym.p
-    last = len(a) - 1
-    rows = [a[last] - r[last] + 1] + [1] * (r[last] - 1)
-    for i in range(last - 1, -1, -1):
-        _add_rim(rows, a[i], r[i], p)
+    rows = [a[-1] - r[-1] + 1] + [1] * (r[-1] - 1)
+    for i in range(len(a) - 2, -1, -1):
+        rows.extend([0] * (r[i] - len(rows)))
+        placed = _grow(rows, r[i], a[i] % p or p, p)
+        if placed != a[i]:
+            raise RuntimeError(f"rim growth reached row 1 with {placed} of {a[i]} cells placed")
         if len(rows) != r[i]:
             raise RuntimeError(f"growth of column {i} produced the wrong row count")
     if 0 in rows or not _is_weakly_decreasing(rows):
@@ -177,26 +188,15 @@ def reconstruct(sym: Symbol) -> tuple:
 
 def mullineux_map(lam, p) -> tuple:
     """The symbol involution: replace each r_i by s_i = a_i + eps_i - r_i."""
-    sym = mullineux_symbol(lam, p)
-    if not sym.a:
-        return ()
-    flipped = Symbol(p, sym.a, tuple(sym.a[i] + sym.eps(i) - sym.r[i] for i in range(len(sym))))
-    return reconstruct(flipped)
+    a, r = _columns(_regular_arg(lam, p), p)
+    return _reconstruct(a, tuple(x + _eps(x, p) - y for x, y in zip(a, r)), p)
 
 
 def is_self_mullineux(lam, p) -> bool:
     """Fixed-point test via the symbol: a_i = 2 r_i - eps_i in every column."""
-    lam = as_partition(lam)
-    check_odd_p(p)
-    if not _is_p_regular(lam, p):
-        raise ValueError(f"{lam} is not {p}-regular")
-    return _is_self_mullineux(lam, p)
+    return _is_self_mullineux(_regular_arg(lam, p), p)
 
 
 def _is_self_mullineux(lam, p) -> bool:
     """is_self_mullineux on a trusted p-regular partition; stops at the first failing column."""
-    for rows, counts in _peel(lam, p):
-        a = sum(counts)
-        if a != 2 * len(rows) - (1 if a % p else 0):
-            return False
-    return True
+    return all(_is_fixed(sum(counts), len(rows), p) for rows, counts in _peel(lam, p))

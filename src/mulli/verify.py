@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple
 from .bg import add_rim_star_layer, bg_symbol, bg_to_mull, mull_to_bg
 from .census import _has_distinct_odd_parts, bg_counts_from_gf, partitions_of
 from .partitions import _is_p_regular, conjugate, diagonal_hook_lengths, hook_length, is_bg_partition, is_p_regular, is_self_conjugate
-from .partitions import self_conjugate_from_diagonal_hooks, truncate_to_durfee
+from .partitions import MAX_CELLS, check_odd_p, self_conjugate_from_diagonal_hooks, truncate_to_durfee
 from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim
-from .symbols import is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
+from .symbols import _is_fixed, is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,11 @@ class _Sweep(dict):
 
     def __init__(self, p, n_max):
         super().__init__()
+        check_odd_p(p)
+        if p * p > MAX_CELLS:  # layer-postconditions grows p + 1 layers of up to about 2p cells per base
+            raise ValueError(f"p={p} is too large for verify: its layer checks need p * p <= {MAX_CELLS}")
         self.p = p
-        self.gf = bg_counts_from_gf(p, n_max)  # also validates p and n_max
+        self.gf = bg_counts_from_gf(p, n_max)  # also validates n_max
 
     def __missing__(self, n):
         peers = self[n] = {}
@@ -211,7 +214,7 @@ def _bg_symbol_validates(r):
     ok, why = validate_symbol(sym)
     if not ok:
         return f"lam={r.lam}: {why}"
-    if any(sym.a[i] != 2 * sym.r[i] - sym.eps(i) for i in range(len(sym))):
+    if not all(_is_fixed(x, y, r.p) for x, y in zip(sym.a, sym.r)):
         return f"lam={r.lam}: a != 2r - eps in {sym.to_text()}"
 
 

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import mulli.bg
+import mulli.partitions
+import mulli.symbols
 from mulli import (
     add_rim_star_layer,
     bg_symbol,
@@ -10,6 +13,7 @@ from mulli import (
     is_bg_partition,
     is_self_mullineux,
     mull_to_bg,
+    mullineux_map,
     mullineux_symbol,
     p_rim_star,
     remove_p_rim_star,
@@ -125,3 +129,34 @@ def test_round_trip_from_bg_side(lam, p):
     assert is_self_mullineux(mu, p)
     assert sum(mu) == sum(lam)
     assert mull_to_bg(mu, p) == lam
+
+
+def test_add_rim_star_layer_enforces_the_size_cap_before_mirroring():
+    # an off-diagonal layer on (1,) grows row 1 by p cells: 2p + 1 in all
+    assert sum(add_rim_star_layer((1,), 0, 0, 499999)) == 999999
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        add_rim_star_layer((1,), 0, 0, 500001)
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        add_rim_star_layer((1,), 0, 0, 2 * 10**6 + 1)
+
+
+def test_the_maps_validate_their_input_once(monkeypatch):
+    calls = {"as_partition": 0, "check_odd_p": 0, "validate_symbol": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        real = getattr(mulli.symbols, name, None) or getattr(mulli.partitions, name)
+        for module in (mulli.partitions, mulli.symbols, mulli.bg):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, real))
+    lam, mu = (9, 2, 1, 1, 1, 1, 1, 1, 1), (9, 4, 4, 1)
+    for go, arg in ((mullineux_map, (9, 6, 3, 1)), (bg_to_mull, lam), (mull_to_bg, mu)):
+        calls.update(dict.fromkeys(calls, 0))
+        go(arg, 3)
+        assert calls == {"as_partition": 1, "check_odd_p": 1, "validate_symbol": 0}, go.__name__

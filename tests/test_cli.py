@@ -221,3 +221,9 @@ def test_verify_json_reports_seconds():
     assert out.returncode == 0
     checks = json.loads(out.stdout)
     assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
+
+
+def test_verify_rejects_a_huge_p_at_once():
+    out = run_cli("verify", "-p", "1000000007", "-n", "0")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "too large for verify" in out.stderr

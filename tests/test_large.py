@@ -3,13 +3,17 @@
 from hypothesis import given, settings, strategies as st
 
 from mulli import (
+    Symbol,
+    bg_symbol,
     bg_to_mull,
     is_bg_partition,
     is_p_regular,
     mull_to_bg,
     mullineux_map,
     mullineux_symbol,
+    reconstruct,
     self_conjugate_from_diagonal_hooks,
+    validate_symbol,
 )
 
 odd_p = st.sampled_from((3, 5, 7, 9))
@@ -117,3 +121,24 @@ def test_hook_built_bg_partition():
     sym = mullineux_symbol(mu, 3)
     assert all(sym.a[i] == 2 * sym.r[i] - sym.eps(i) for i in range(len(sym)))
     assert mull_to_bg(mu, 3) == lam
+
+
+@settings(max_examples=25, deadline=None)
+@given(p_regular_partitions())
+def test_large_flipped_symbol_is_valid_and_rebuilds_the_image(case):
+    """mullineux_map rebuilds from trusted columns; the checked path must agree."""
+    lam, p = case
+    sym = mullineux_symbol(lam, p)
+    flipped = Symbol(p, sym.a, tuple(a + sym.eps(i) - r for i, (a, r) in enumerate(sym.columns())))
+    assert validate_symbol(flipped) == (True, "")
+    assert reconstruct(flipped) == mullineux_map(lam, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bg_partitions())
+def test_large_bg_symbol_is_valid_and_rebuilds_the_partner(case):
+    """bg_to_mull rebuilds from trusted columns; the checked path must agree."""
+    lam, p = case
+    s = bg_symbol(lam, p)
+    assert validate_symbol(Symbol(p, s.a, s.r)) == (True, "")
+    assert reconstruct(Symbol(p, s.a, s.r)) == bg_to_mull(lam, p)

@@ -150,3 +150,15 @@ def test_is_self_mullineux_keeps_its_errors():
         is_self_mullineux((1, 3), 3)
     with pytest.raises(ValueError, match="p must be an odd integer"):
         is_self_mullineux((3, 1), 4)
+
+
+def test_reconstruct_enforces_the_size_cap_before_growing():
+    at_cap = reconstruct(Symbol(10**6 + 1, (10**6,), (10**6,)))
+    assert at_cap == (1,) * 10**6
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        reconstruct(Symbol(2 * 10**6 + 1, (2 * 10**6,), (2 * 10**6,)))
+    # a valid one-column symbol at p near 10^9 would otherwise allocate 10^9 rows
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        reconstruct(Symbol(10**9 + 7, (10**9,), (10**9,)))
+    with pytest.raises(ValueError, match="invalid symbol"):
+        reconstruct(Symbol(10**9 + 7, (10**9,), (10**9 + 1,)))

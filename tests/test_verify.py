@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from mulli import cli, run_checks, verify
 from mulli.verify import CHECKS, check_rim_star_parity, check_small_size_conjugation
 
@@ -85,3 +87,13 @@ def test_a_failing_law_exits_3(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in out if not r["ok"]] == ["hook-transpose"]
     assert all(set(r) == {"name", "ok", "detail", "cases", "seconds"} for r in out)
+
+
+def test_verify_bounds_p_before_any_work():
+    # layer-postconditions grows p + 1 layers of about 2p cells per base
+    for p in (1001, 10**9 + 7):
+        with pytest.raises(ValueError, match="too large for verify"):
+            run_checks(p, 0)
+        with pytest.raises(ValueError, match="too large for verify"):
+            CHECKS[0](p, 0)
+    assert all(r.ok for r in run_checks(999, 1))
