@@ -11,7 +11,7 @@ directions validate their input once, then pass trusted columns (a, r).
 """
 
 from .partitions import MAX_CELLS, _conjugate, _durfee, _is_bg, _is_weakly_decreasing, _regular_arg, _self_conjugate_arg
-from .partitions import _symmetric, _top_hooks, _top_size, as_partition, check_odd_p
+from .partitions import _has_hook_divisible, _symmetric, _top_size, as_partition, check_odd_p
 from .rims import _grow
 from .symbols import Symbol, _columns, _eps, _is_fixed, _reconstruct
 
@@ -71,14 +71,9 @@ def _add_layer(top, eps, m, p) -> tuple:
     end at column d, which makes the diagonal start cell (d+1, d+1) its
     first vacant cell.  Mirroring is left to _symmetric.
     """
-    d = len(top)
-    rows = list(top)
-    if eps:
-        rows.append(d)
-        # the diagonal start cell completes an m = 0 run by itself
-        placed = _grow(rows, d + 1, m + 1, p)
-    else:
-        placed = _grow(rows, d, p, p)
+    rows = list(top) + [len(top)] * eps
+    # the diagonal start cell completes an m = 0 run by itself
+    placed = _grow(rows, m + 1 if eps else p, p)
     if not _is_weakly_decreasing(rows):
         raise RuntimeError(f"layer growth on the Durfee rows {top} lost self-conjugacy: {rows}")
     if _top_size(rows) != _top_size(top) + 2 * placed - eps:
@@ -121,11 +116,11 @@ def mull_to_bg(lam, p) -> tuple:
         raise RuntimeError(f"last column of {Symbol(p, a, r).to_text()} has eps = 0; impossible for a fixed point")
     # intermediates are kept as Durfee rows; every valid top is self-conjugate
     top = (r[-1],)
-    if any(h % p == 0 for h in _top_hooks(top)):
+    if _has_hook_divisible(top, p):
         raise RuntimeError(f"seed hook {_symmetric(top)} is not a BG-partition for p={p}")
     for i in range(len(a) - 2, -1, -1):
         eps = _eps(a[i], p)
         top = _add_layer(top, eps, (r[i] - eps) % p, p)
-        if any(h % p == 0 for h in _top_hooks(top)):
+        if _has_hook_divisible(top, p):
             raise RuntimeError(f"intermediate {_symmetric(top)} is not a BG-partition for p={p}")
     return _symmetric(top)

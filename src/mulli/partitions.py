@@ -19,6 +19,7 @@ Every function is pure and every value immutable.
 """
 
 from itertools import accumulate
+from operator import le, sub
 
 # Desk-scale tool: partitions are validated to at most this many cells,
 # so all arithmetic stays in machine words.
@@ -33,11 +34,13 @@ def as_partition(parts) -> tuple[int, ...]:
     is expected from callers, so equality stays structural.
     """
     lam = tuple(parts)
-    for x in lam:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"parts must be positive integers, got {x!r}")
-    if not _is_weakly_decreasing(lam):
-        raise ValueError(f"parts must be weakly decreasing, got {lam}")
+    # builtins accept plain int parts at once; the loop finds the first bad part
+    if not lam or set(map(type, lam)) != {int} or lam[-1] < 1 or not _is_weakly_decreasing(lam):
+        for x in lam:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                raise ValueError(f"parts must be positive integers, got {x!r}")
+        if not _is_weakly_decreasing(lam):
+            raise ValueError(f"parts must be weakly decreasing, got {lam}")
     if sum(lam) > MAX_CELLS:
         raise ValueError(f"partition of {sum(lam)} exceeds the size cap {MAX_CELLS}")
     return lam
@@ -115,12 +118,8 @@ def durfee_length(lam) -> int:
 
 
 def _durfee(lam) -> int:
-    k = 0
-    for i, part in enumerate(lam, start=1):
-        if part < i:
-            break
-        k = i
-    return k
+    # lam_i - i strictly decreases, so the rows with lam_i >= i are a prefix
+    return sum(map(le, range(1, len(lam) + 1), lam))
 
 
 def _symmetric(top) -> tuple[int, ...]:
@@ -138,9 +137,10 @@ def _top_size(top) -> int:
     return 2 * sum(top) - len(top) ** 2
 
 
-def _top_hooks(top):
-    """Diagonal hook lengths of _symmetric(top)."""
-    return (2 * (part - i) + 1 for i, part in enumerate(top, start=1))
+def _has_hook_divisible(top, p) -> bool:
+    """Whether p divides a diagonal hook 2 (top_i - i) + 1 of _symmetric(top)."""
+    # p is odd, so p | 2 (top_i - i) + 1 exactly when top_i - i = (p - 1) / 2 mod p
+    return (p - 1) // 2 in map(p.__rmod__, map(sub, top, range(1, len(top) + 1)))
 
 
 def hook_length(lam, row: int, col: int) -> int:
@@ -149,7 +149,7 @@ def hook_length(lam, row: int, col: int) -> int:
     if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
         raise ValueError(f"cell ({row},{col}) lies outside the diagram of {lam}")
     arm = lam[row - 1] - col
-    leg = sum(1 for part in lam[row:] if part >= col)
+    leg = sum(map(col.__le__, lam[row:]))
     return arm + leg + 1
 
 
@@ -226,7 +226,7 @@ def is_bg_partition(lam, p) -> bool:
 
 
 def _is_bg(lam, p) -> bool:
-    return lam == _conjugate(lam) and all(h % p != 0 for h in _top_hooks(lam[: _durfee(lam)]))
+    return lam == _conjugate(lam) and not _has_hook_divisible(lam[: _durfee(lam)], p)
 
 
 def truncate_to_durfee(lam) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 """ASCII Young diagrams, plain or labelled by peeling iteration."""
 
+from operator import sub
+
 from .partitions import _self_conjugate_arg, as_partition, check_odd_p
 from .rims import _mirrored, _peel, _tail_cells
 
@@ -21,10 +23,10 @@ def peel_iterations(lam, p, star=False):
     needs a self-conjugate partition).
     """
     if star:
-        return [_mirrored(_tail_cells(top, counts)) for top, counts in _peel(_self_conjugate_arg(lam, p), p, star=True)]
+        return [_mirrored(_tail_cells(top, map(sub, top, rest))) for top, rest in _peel(_self_conjugate_arg(lam, p), p, star=True)]
     lam = as_partition(lam)
     check_odd_p(p)
-    return [_tail_cells(rows, counts) for rows, counts in _peel(lam, p)]
+    return [_tail_cells(rows, map(sub, rows, rest)) for rows, rest in _peel(lam, p)]
 
 
 def render_peeled(lam, p, star=False):

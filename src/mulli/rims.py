@@ -6,8 +6,9 @@ columns max(1, lam_{i+1}) .. lam_i, so reading the rim from top right to
 bottom left and cutting runs of p cells (each new run restarting on the
 next row down, see p_rim) selects the p-rim, the set peeled off in one
 step of the symbol computations.  Every run starts at the right end of
-a row, so the p-rim takes a right tail of every row and is described by
-one count per row; peeling it is one pass over the rows.
+a row, so the p-rim takes a right tail of every row: one pass over the
+rows gives the row lengths left, and each peeling step yields the rows
+and the rows left, whose differences are the cells taken.
 
 For self-conjugate partitions the symmetrized variant keeps the cells
 of the p-rim on or above the diagonal and mirrors them below it.  Those
@@ -16,11 +17,13 @@ determine the partition, so the symmetrized peel works on the Durfee
 rows alone.
 
 Growth is the reverse: cells are added at row ends, moving up whenever
-the cell above is vacant.  The kernels here take trusted tuples; the
-public functions validate their input once.
+the cell above is vacant, one tight pass per run of rows.  The kernels
+here take trusted tuples and check their invariants once per step with
+builtins; the public functions validate their input once.
 """
 
 from dataclasses import dataclass
+from operator import sub
 
 from .partitions import _durfee, _is_weakly_decreasing, _self_conjugate_arg, _symmetric, as_partition, check_odd_p
 
@@ -106,95 +109,99 @@ def rim(lam) -> tuple:
     return _tail_cells(lam, _rim_lengths(lam))
 
 
-def _rim_lengths(rows, below=0) -> list:
-    """Rim cells per row; `below` is the length of the row after the last."""
-    return [part - (end or 1) + 1 for part, end in zip(rows, rows[1:] + (below,))]
+def _rim_lengths(rows) -> list:
+    """Rim cells per row of a partition."""
+    return [part - end + 1 for part, end in zip(rows, rows[1:] + (1,))]
 
 
-def _rim_counts(rows, p, below=0) -> list:
-    """Cells the p-rim takes from the right end of each row.
+def _cut(rows, p, below=0) -> list:
+    """Row lengths left after the p-rim is taken, zeros included, in one pass.
 
-    A run that ends inside row i (or at its last rim cell) leaves the
-    rest of that row's rim and restarts on row i + 1; a run that uses up
-    row i's rim goes on in row i + 1.  Either way every row is entered
+    Row i's rim holds the columns next .. lam_i, with next = lam_{i+1}
+    (`below or 1` after the last row).  A run that uses up row i's rim
+    leaves next - 1 cells and goes on in row i + 1; a run that stops
+    inside it (or at its last rim cell) leaves lam_i - need, and the
+    next run restarts on row i + 1.  Either way every row is entered
     once, in order.  Only the rows given are walked, so passing the top
-    rows of a partition (with `below` the next row) gives the counts of
-    those rows.
+    rows of a partition (with `below` the next row) cuts those rows.
     """
-    counts = []
+    rest = []
     need = p
-    for length in _rim_lengths(rows, below):
-        if length >= need:
-            counts.append(need)
-            need = p
+    for part, nxt in zip(rows, rows[1:] + (below or 1,)):
+        floor, left = nxt - 1, part - need
+        if left < floor:
+            rest.append(floor)
+            need = floor - left
         else:
-            counts.append(length)
-            need -= length
-    return counts
+            rest.append(left)
+            need = p
+    return rest
 
 
-def _star_counts(top, p) -> list:
-    """p-rim cells on or above the diagonal per Durfee row.
+def _rim_counts(rows, p) -> list:
+    """Cells the p-rim takes from the right end of each row."""
+    return list(map(sub, rows, _cut(rows, p)))
+
+
+def _star_cut(top, p) -> list:
+    """Durfee rows left after the symmetrized p-rim takes its cells on or above the diagonal.
 
     top is the Durfee rows of a self-conjugate partition; its next row
-    has one cell per top row reaching past the Durfee square.
+    has one cell per top row reaching past the Durfee square.  Only the
+    last Durfee row can reach the diagonal: the rim of any row i above
+    it ends at column lam_{i+1} >= i + 1.
     """
     d = len(top)
-    below = sum(1 for part in top if part > d)
-    return [min(count, part - i) for i, (count, part) in enumerate(zip(_rim_counts(top, p, below), top))]
+    rest = _cut(top, p, sum(map(d.__lt__, top)))
+    rest[-1] = max(rest[-1], d - 1)
+    return rest
 
 
-def _star_stats(top, counts) -> tuple:
-    """(a_star, r_star, eps_star) of the symmetrized p-rim with these counts.
-
-    Only the last Durfee row can reach the diagonal: the rim of any row
-    i above it starts at column lam_{i+1} >= i + 1.
-    """
-    r_star = sum(counts)
-    eps_star = 1 if counts[-1] == top[-1] - len(top) + 1 else 0
+def _star_stats(top, rest) -> tuple:
+    """(a_star, r_star, eps_star) of the symmetrized p-rim that leaves `rest` of the Durfee rows `top`."""
+    r_star = sum(top) - sum(rest)
+    eps_star = 1 if rest[-1] == len(top) - 1 else 0
     return 2 * r_star - eps_star, r_star, eps_star
 
 
-def _remove(rows, counts) -> tuple:
-    """Drop counts[i] cells from the end of each row; the rest must be a partition."""
-    rest = [part - count for part, count in zip(rows, counts)]
-    while rest and rest[-1] == 0:
-        rest.pop()
-    if 0 in rest or not _is_weakly_decreasing(rest):
+def _remove(rows, rest) -> tuple:
+    """The partition left when each row keeps rest[i] cells; rest must be weakly decreasing and >= 0."""
+    if not _is_weakly_decreasing(rest) or rest[-1] < 0:
         raise RuntimeError(f"rim removal broke the diagram of {rows}: {rest}")
-    return tuple(rest)
+    return tuple(rest[: len(rest) - rest.count(0)])
 
 
-def _remove_star(top, counts) -> tuple:
+def _remove_star(top, rest) -> tuple:
     """Durfee rows left after removing the symmetrized p-rim.
 
     Removing the cells above the diagonal and their mirrors leaves a
     self-conjugate partition of |lam| - a_star exactly when the rows
     still reaching the diagonal are a weakly decreasing prefix that is
-    eps_star rows shorter than before.
+    eps_star rows shorter than before (eps_star = 1 leaves row d with d - 1).
     """
-    rest = [part - count for part, count in zip(top, counts)]
-    kept = _durfee(rest)
-    if kept != len(top) - _star_stats(top, counts)[2] or not _is_weakly_decreasing(rest[:kept]):
+    d = len(top)
+    kept = d - 1 if rest[-1] == d - 1 else d
+    if not _is_weakly_decreasing(rest[:kept]) or kept and rest[kept - 1] < kept:
         raise RuntimeError(f"rim* removal from the Durfee rows {top} lost self-conjugacy: {rest}")
     return tuple(rest[:kept])
 
 
 def _peel(lam, p, star=False):
-    """Yield (rows, counts) for each peeling step of a trusted partition.
+    """Yield (rows, rest) for each peeling step of a trusted partition.
 
     star=False peels p-rims: rows is the partition before the step and
-    counts[i] the cells taken from the end of its row i + 1.  star=True
+    rest[i] the cells its row i + 1 keeps (zeros included), so the step
+    takes rows[i] - rest[i] cells from the end of that row.  star=True
     peels symmetrized p-rims of a self-conjugate lam: rows is the Durfee
-    rows before the step (the partition is _symmetric(rows)) and counts
-    the cells taken on or above the diagonal.
+    rows before the step (the partition is _symmetric(rows)) and rest
+    what they keep of the cells on or above the diagonal.
     """
-    counts_of, remove = (_star_counts, _remove_star) if star else (_rim_counts, _remove)
+    cut, remove = (_star_cut, _remove_star) if star else (_cut, _remove)
     rows = lam[: _durfee(lam)] if star else lam
     while rows:
-        counts = counts_of(rows, p)
-        yield rows, counts
-        rows = remove(rows, counts)
+        rest = cut(rows, p)
+        yield rows, rest
+        rows = remove(rows, rest)
 
 
 def p_rim(lam, p) -> PRim:
@@ -216,7 +223,7 @@ def p_rim(lam, p) -> PRim:
 def remove_p_rim(lam, p) -> tuple:
     """Delete the p-rim; the result is a partition of |lam| - len(p_rim(lam, p))."""
     pr = p_rim(lam, p)
-    return _remove(pr.lam, pr.counts)
+    return _remove(pr.lam, list(map(sub, pr.lam, pr.counts)))
 
 
 def p_rim_star(lam, p) -> PRimStar:
@@ -231,53 +238,46 @@ def p_rim_star(lam, p) -> PRimStar:
     if not lam:
         raise ValueError("the empty partition has no rim")
     top = lam[: _durfee(lam)]
-    counts = _star_counts(top, p)
-    return PRimStar(lam, tuple(counts), *_star_stats(top, counts))
+    rest = _star_cut(top, p)
+    return PRimStar(lam, tuple(map(sub, top, rest)), *_star_stats(top, rest))
 
 
 def remove_p_rim_star(lam, p) -> tuple:
     """Delete the symmetrized p-rim; the result is again self-conjugate."""
     star = p_rim_star(lam, p)
-    return _symmetric(_remove_star(star.lam[: len(star.counts)], star.counts))
+    top = star.lam[: len(star.counts)]
+    return _symmetric(_remove_star(top, list(map(sub, top, star.counts))))
 
 
 # Growth, shared by the symbol reconstruction and the layer construction.
 # `rows` is a mutable list of row ends.
 
 
-def _grow(rows, row, first, p) -> int:
+def _grow(rows, first, p) -> int:
     """Grow runs of cells onto the row ends `rows`; return how many were placed.
 
     The first run holds `first` cells and starts at the first vacant
-    column of row `row` (1-based), every later run holds p cells and
-    starts at the first vacant column of the row above the previous
-    run's last cell; the walk stops after a run that ends in row 1.
-    Within a run each cell goes directly above the last one if that spot
-    is vacant, else to its right.  Placing (row, col) is legal iff
-    rows[row - 1] == col - 1, so a run places one batch per row:
-    rightwards while the row above covers the column, then one more
-    cell, after which it moves up.
+    column of the last row, every later run holds p cells and starts at
+    the first vacant column of the row above the previous run's last
+    cell; the walk stops after a run that ends in row 1.  Within a run
+    each cell goes directly above the last one if that spot is vacant,
+    else to its right, so on weakly decreasing rows a run places one
+    batch per row: up to rows[i - 1] - rows[i] + 1 cells, then moves up.
     """
-    i = row - 1
-    need = first
-    placed = 0
-    while i:
-        end, above = rows[i], rows[i - 1]
-        # cells up to and including the first one with a vacant cell above
-        here = above - end + 1 if above >= end else 1
+    if not _is_weakly_decreasing(rows):
+        raise RuntimeError(f"growth onto ragged rows {rows}")
+    before = sum(rows)
+    need, end = first, rows[-1]
+    for i in range(len(rows) - 1, 0, -1):
+        above = rows[i - 1]
+        here = above - end + 1
         if here >= need:
             # the run ends in this row; the next one starts in the row above
             rows[i] = end + need
-            placed += need
             need = p
         else:
-            end += here
-            rows[i] = end
-            placed += here
+            rows[i] = above + 1
             need -= here
-            # the run goes on at (i, end), which must extend row i
-            if above != end - 1:
-                raise RuntimeError(f"growth would leave row {i} ragged at column {end}")
-        i -= 1
+        end = above
     rows[0] += need
-    return placed + need
+    return sum(rows) - before

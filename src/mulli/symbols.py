@@ -32,8 +32,8 @@ def _is_fixed(a, r, p) -> bool:
 def _columns(lam, p, star=False) -> tuple:
     """Columns (a, r) of a trusted partition, one per peeling step; star=True gives the bg columns."""
     a, r = [], []
-    for rows, counts in _peel(lam, p, star):
-        a_i, r_i = _star_stats(rows, counts)[:2] if star else (sum(counts), len(rows))
+    for rows, rest in _peel(lam, p, star):
+        a_i, r_i = _star_stats(rows, rest)[:2] if star else (sum(rows) - sum(rest), len(rows))
         a.append(a_i)
         r.append(r_i)
     return tuple(a), tuple(r)
@@ -176,7 +176,7 @@ def _reconstruct(a, r, p) -> tuple:
     rows = [a[-1] - r[-1] + 1] + [1] * (r[-1] - 1)
     for i in range(len(a) - 2, -1, -1):
         rows.extend([0] * (r[i] - len(rows)))
-        placed = _grow(rows, r[i], a[i] % p or p, p)
+        placed = _grow(rows, a[i] % p or p, p)
         if placed != a[i]:
             raise RuntimeError(f"rim growth reached row 1 with {placed} of {a[i]} cells placed")
         if len(rows) != r[i]:
@@ -199,4 +199,4 @@ def is_self_mullineux(lam, p) -> bool:
 
 def _is_self_mullineux(lam, p) -> bool:
     """is_self_mullineux on a trusted p-regular partition; stops at the first failing column."""
-    return all(_is_fixed(sum(counts), len(rows), p) for rows, counts in _peel(lam, p))
+    return all(_is_fixed(sum(rows) - sum(rest), len(rows), p) for rows, rest in _peel(lam, p))

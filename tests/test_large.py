@@ -11,6 +11,7 @@ from mulli import (
     mull_to_bg,
     mullineux_map,
     mullineux_symbol,
+    peel_iterations,
     reconstruct,
     self_conjugate_from_diagonal_hooks,
     validate_symbol,
@@ -19,30 +20,35 @@ from mulli import (
 odd_p = st.sampled_from((3, 5, 7, 9))
 
 
-def walked_symbol(lam, p):
-    """Mullineux symbol by listing the rim cell by cell and cutting runs of p.
+def walked_rim(rows, p):
+    """The p-rim of the partition `rows`, listed cell by cell as (row index from 0, column).
 
     Each run takes p consecutive rim cells; when it ends above the last
     row, the next run starts at the first rim cell of the row below.
     """
+    path = [
+        (i, col)
+        for i, part in enumerate(rows)
+        for col in range(part, max(rows[i + 1] if i + 1 < len(rows) else 0, 1) - 1, -1)
+    ]
+    taken, pos = [], 0
+    while True:
+        run = path[pos : pos + p]
+        taken += run
+        row = run[-1][0]
+        if row == len(rows) - 1:
+            return taken
+        pos += len(run)
+        while path[pos][0] != row + 1:
+            pos += 1
+
+
+def walked_symbol(lam, p):
+    """Mullineux symbol by peeling walked_rim until nothing is left."""
     rows = list(lam)
     a, r = [], []
     while rows:
-        path = [
-            (i, col)
-            for i, part in enumerate(rows)
-            for col in range(part, max(rows[i + 1] if i + 1 < len(rows) else 0, 1) - 1, -1)
-        ]
-        taken, pos = [], 0
-        while True:
-            run = path[pos : pos + p]
-            taken += run
-            row = run[-1][0]
-            if row == len(rows) - 1:
-                break
-            pos += len(run)
-            while path[pos][0] != row + 1:
-                pos += 1
+        taken = walked_rim(rows, p)
         a.append(len(taken))
         r.append(len(rows))
         for i, _ in taken:
@@ -142,3 +148,37 @@ def test_large_bg_symbol_is_valid_and_rebuilds_the_partner(case):
     s = bg_symbol(lam, p)
     assert validate_symbol(Symbol(p, s.a, s.r)) == (True, "")
     assert reconstruct(Symbol(p, s.a, s.r)) == bg_to_mull(lam, p)
+
+
+def take(rows, layer):
+    """Remove the cells of `layer` (1-based (row, col) pairs) from the row lengths `rows`."""
+    for i, _ in layer:
+        rows[i - 1] -= 1
+    while rows and rows[-1] == 0:
+        rows.pop()
+
+
+@settings(max_examples=25, deadline=None)
+@given(p_regular_partitions())
+def test_large_peel_steps_match_the_walked_rim(case):
+    """Every step of the row-length peel takes exactly the cells the cell-by-cell walk takes."""
+    lam, p = case
+    rows = list(lam)
+    for layer in peel_iterations(lam, p):
+        assert layer == tuple((i + 1, col) for i, col in walked_rim(rows, p))
+        take(rows, layer)
+    assert rows == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(bg_partitions().filter(lambda case: 200 <= sum(case[0]) <= 3000))
+def test_large_star_peel_steps_match_the_walked_rim(case):
+    """Every symmetrized step takes the walked p-rim's cells on or above the diagonal, plus their mirrors."""
+    lam, p = case
+    rows = list(lam)
+    for layer in peel_iterations(lam, p, star=True):
+        upper = {(i + 1, col) for i, col in walked_rim(rows, p) if col >= i + 1}
+        assert len(set(layer)) == len(layer)
+        assert set(layer) == upper | {(col, i) for i, col in upper}
+        take(rows, layer)
+    assert rows == []

@@ -184,3 +184,25 @@ def test_truncate_to_durfee():
 def test_odd_p_is_enforced(p):
     with pytest.raises(ValueError):
         is_p_regular((2, 1), p)
+
+
+def test_as_partition_messages_name_the_first_bad_part():
+    from enum import IntEnum
+
+    class Part(IntEnum):
+        BIG = 3
+        SMALL = 1
+
+    messages = {
+        (3, "a"): "parts must be positive integers, got 'a'",
+        (True,): "parts must be positive integers, got True",
+        (0,): "parts must be positive integers, got 0",
+        (1, 2): "parts must be weakly decreasing, got (1, 2)",
+        (2.0,): "parts must be positive integers, got 2.0",
+        (MAX_CELLS, 1): f"partition of {MAX_CELLS + 1} exceeds the size cap {MAX_CELLS}",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(ValueError) as err:
+            as_partition(bad)
+        assert str(err.value) == message
+    assert as_partition((Part.BIG, Part.SMALL, 1)) == (3, 1, 1)

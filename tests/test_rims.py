@@ -134,3 +134,34 @@ def test_remove_p_rim_star_conserves_cells(lam, p):
     rest = remove_p_rim_star(lam, p)
     assert cells(rest) == cells(lam) - set(star.cells)
     assert sum(rest) == sum(lam) - star.a_star
+
+
+def test_remove_rejects_an_inner_empty_row():
+    from mulli.rims import _remove
+
+    with pytest.raises(RuntimeError, match="rim removal broke the diagram"):
+        _remove((3, 2, 1), [2, 0, 1])
+    assert _remove((3, 2, 1), [2, 1, 0]) == (2, 1)
+
+
+def test_remove_star_rejects_a_broken_durfee_prefix():
+    from mulli.rims import _remove_star
+
+    # eps* = 1 keeps two rows, but the second no longer reaches the diagonal
+    with pytest.raises(RuntimeError, match="lost self-conjugacy"):
+        _remove_star((4, 3, 3), [3, 1, 2])
+    # eps* = 0 keeps all three, which are not weakly decreasing
+    with pytest.raises(RuntimeError, match="lost self-conjugacy"):
+        _remove_star((4, 4, 4), [3, 4, 3])
+    assert _remove_star((4, 3, 3), [3, 2, 2]) == (3, 2)
+
+
+def test_grow_rejects_ragged_rows():
+    from mulli.rims import _grow
+
+    # a first run of one cell used to slip past the per-row check
+    for first in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="ragged"):
+            _grow([1, 2], first, 3)
+    rows = [2, 1]
+    assert _grow(rows, 1, 3) == 4 and rows == [5, 2]
