@@ -10,8 +10,8 @@ reverse direction rebuilds the BG-partition layer by layer.  Both
 directions validate their input once, then pass trusted columns (a, r).
 """
 
-from .partitions import MAX_CELLS, _conjugate, _durfee, _is_bg, _is_weakly_decreasing, _regular_arg, _self_conjugate_arg
-from .partitions import _has_hook_divisible, _symmetric, _top_size, as_partition, check_odd_p
+from .partitions import MAX_CELLS, _conjugate, _durfee, _has_hook_divisible, _is_bg, _is_int, _is_weakly_decreasing
+from .partitions import _partition_arg, _regular_arg, _self_conjugate_arg, _symmetric, _top_size
 from .rims import _grow
 from .symbols import Symbol, _columns, _eps, _is_fixed, _reconstruct
 
@@ -45,11 +45,10 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
     ends in row 1.  Mirroring the placed cells across the diagonal
     finishes the layer.
     """
-    base = as_partition(base)
-    check_odd_p(p)
-    if eps not in (0, 1):
+    base = _partition_arg(base, p)
+    if not (_is_int(eps) and eps in (0, 1)):
         raise ValueError(f"eps must be 0 or 1, got {eps!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < p:
+    if not _is_int(m) or not 0 <= m < p:
         raise ValueError(f"m must be a residue mod {p}, got {m!r}")
     if eps == 0 and m != 0:
         raise ValueError("a layer that misses the diagonal must have m = 0")
@@ -87,8 +86,7 @@ def bg_to_mull(lam, p) -> tuple:
     The partner is the unique p-regular partition whose symbol equals
     the bg symbol of lam; same size, and mull_to_bg inverts it.
     """
-    lam = as_partition(lam)
-    check_odd_p(p)
+    lam = _partition_arg(lam, p)
     if not _is_bg(lam, p):
         raise ValueError(f"{lam} is not a BG-partition for p={p}")
     return _reconstruct(*_columns(lam, p, star=True), p)

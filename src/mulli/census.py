@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 
 from .bg import bg_to_mull
-from .partitions import _conjugate, _is_bg, _is_p_regular, as_partition, check_odd_p, diagonal_hook_lengths, format_partition, is_p_regular
+from .partitions import _conjugate, _is_bg, _is_int, _is_p_regular, as_partition, check_odd_p, diagonal_hook_lengths, format_partition, is_p_regular
 from .symbols import _is_self_mullineux
 
 
@@ -23,9 +23,9 @@ def partitions_of(n, largest=None):
 
     largest caps the first part.  partitions_of(0) yields only ().
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"expected a size >= 0, got {n!r}")
-    if largest is not None and (not isinstance(largest, int) or isinstance(largest, bool) or largest < 0):
+    if largest is not None and (not _is_int(largest) or largest < 0):
         raise ValueError(f"expected a largest part >= 0, got {largest!r}")
     if n == 0:
         yield ()
@@ -184,7 +184,7 @@ def bg_counts_from_gf(p, n_max):
     of n into distinct odd parts none divisible by p).
     """
     check_odd_p(p)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+    if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"expected a size >= 0, got {n_max!r}")
     coeffs = [1] + [0] * n_max
     for q in range(1, n_max + 1, 2):

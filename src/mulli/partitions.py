@@ -14,6 +14,8 @@ Conventions:
   * p always denotes an odd modulus >= 3; primality is deliberately not
     enforced (every definition here is well posed for odd p, though the
     deeper theorems about the maps built on top are proved for primes)
+  * every integer argument is an int and not a bool (_is_int); public
+    functions check their arguments once, here, and call trusted kernels
 
 Every function is pure and every value immutable.
 """
@@ -37,7 +39,7 @@ def as_partition(parts) -> tuple[int, ...]:
     # builtins accept plain int parts at once; the loop finds the first bad part
     if not lam or set(map(type, lam)) != {int} or lam[-1] < 1 or not _is_weakly_decreasing(lam):
         for x in lam:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            if not _is_int(x) or x < 1:
                 raise ValueError(f"parts must be positive integers, got {x!r}")
         if not _is_weakly_decreasing(lam):
             raise ValueError(f"parts must be weakly decreasing, got {lam}")
@@ -51,11 +53,23 @@ def _is_weakly_decreasing(rows) -> bool:
     return sorted(rows, reverse=True) == list(rows)
 
 
+def _is_int(x) -> bool:
+    """The one integer rule of the public API: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_odd_p(p) -> int:
     """Validate the modulus: an odd integer >= 3 (primality not required)."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 3 or p % 2 == 0:
+    if not _is_int(p) or p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd integer >= 3, got {p!r}")
     return p
+
+
+def _partition_arg(lam, p) -> tuple[int, ...]:
+    """The validated partition of a function of (lam, p); p is checked after lam."""
+    lam = as_partition(lam)
+    check_odd_p(p)
+    return lam
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
@@ -146,8 +160,8 @@ def _has_hook_divisible(top, p) -> bool:
 def hook_length(lam, row: int, col: int) -> int:
     """Cells of the hook based at (row, col): arm, leg, and the cell itself."""
     lam = as_partition(lam)
-    if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
-        raise ValueError(f"cell ({row},{col}) lies outside the diagram of {lam}")
+    if not (_is_int(row) and _is_int(col) and 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
+        raise ValueError(f"cell ({row!r},{col!r}) lies outside the diagram of {lam}")
     arm = lam[row - 1] - col
     leg = sum(map(col.__le__, lam[row:]))
     return arm + leg + 1
@@ -174,7 +188,7 @@ def self_conjugate_from_diagonal_hooks(hooks) -> tuple[int, ...]:
     """
     hooks = tuple(hooks)
     for h in hooks:
-        if not isinstance(h, int) or isinstance(h, bool) or h < 1 or h % 2 == 0:
+        if not _is_int(h) or h < 1 or h % 2 == 0:
             raise ValueError(f"diagonal hooks must be positive odd integers, got {h!r}")
     for i in range(len(hooks) - 1):
         if hooks[i] <= hooks[i + 1]:
@@ -190,15 +204,12 @@ def self_conjugate_from_diagonal_hooks(hooks) -> tuple[int, ...]:
 
 def is_p_regular(lam, p) -> bool:
     """True when no part value occurs p or more times."""
-    lam = as_partition(lam)
-    check_odd_p(p)
-    return _is_p_regular(lam, p)
+    return _is_p_regular(_partition_arg(lam, p), p)
 
 
 def _regular_arg(lam, p) -> tuple[int, ...]:
     """The validated partition of a function defined on p-regular partitions."""
-    lam = as_partition(lam)
-    check_odd_p(p)
+    lam = _partition_arg(lam, p)
     if not _is_p_regular(lam, p):
         raise ValueError(f"{lam} is not {p}-regular")
     return lam
@@ -206,8 +217,7 @@ def _regular_arg(lam, p) -> tuple[int, ...]:
 
 def _self_conjugate_arg(lam, p) -> tuple[int, ...]:
     """The validated partition of a function defined on self-conjugate partitions."""
-    lam = as_partition(lam)
-    check_odd_p(p)
+    lam = _partition_arg(lam, p)
     if lam != _conjugate(lam):
         raise ValueError(f"{lam} is not self-conjugate")
     return lam
@@ -220,9 +230,7 @@ def _is_p_regular(lam, p) -> bool:
 
 def is_bg_partition(lam, p) -> bool:
     """Self-conjugate with no diagonal hook length divisible by p."""
-    lam = as_partition(lam)
-    check_odd_p(p)
-    return _is_bg(lam, p)
+    return _is_bg(_partition_arg(lam, p), p)
 
 
 def _is_bg(lam, p) -> bool:

@@ -2,7 +2,7 @@
 
 from operator import sub
 
-from .partitions import _self_conjugate_arg, as_partition, check_odd_p
+from .partitions import _partition_arg, _self_conjugate_arg, as_partition
 from .rims import _mirrored, _peel, _tail_cells
 
 
@@ -24,9 +24,7 @@ def peel_iterations(lam, p, star=False):
     """
     if star:
         return [_mirrored(_tail_cells(top, map(sub, top, rest))) for top, rest in _peel(_self_conjugate_arg(lam, p), p, star=True)]
-    lam = as_partition(lam)
-    check_odd_p(p)
-    return [_tail_cells(rows, map(sub, rows, rest)) for rows, rest in _peel(lam, p)]
+    return [_tail_cells(rows, map(sub, rows, rest)) for rows, rest in _peel(_partition_arg(lam, p), p)]
 
 
 def render_peeled(lam, p, star=False):

@@ -25,7 +25,7 @@ builtins; the public functions validate their input once.
 from dataclasses import dataclass
 from operator import sub
 
-from .partitions import _durfee, _is_weakly_decreasing, _self_conjugate_arg, _symmetric, as_partition, check_odd_p
+from .partitions import _durfee, _is_weakly_decreasing, _partition_arg, _self_conjugate_arg, _symmetric, as_partition
 
 
 def _tail_cells(rows, counts) -> tuple:
@@ -138,11 +138,6 @@ def _cut(rows, p, below=0) -> list:
     return rest
 
 
-def _rim_counts(rows, p) -> list:
-    """Cells the p-rim takes from the right end of each row."""
-    return list(map(sub, rows, _cut(rows, p)))
-
-
 def _star_cut(top, p) -> list:
     """Durfee rows left after the symmetrized p-rim takes its cells on or above the diagonal.
 
@@ -204,6 +199,13 @@ def _peel(lam, p, star=False):
         rows = remove(rows, rest)
 
 
+def _first_step(lam, p, star=False) -> tuple:
+    """(rows, rest) of _peel's first step on a trusted partition, so every rim is a symbol column."""
+    if not lam:
+        raise ValueError("the empty partition has no rim")
+    return next(_peel(lam, p, star))
+
+
 def p_rim(lam, p) -> PRim:
     """The cells peeled in one step: runs of p rim cells.
 
@@ -213,17 +215,14 @@ def p_rim(lam, p) -> PRim:
     current row are skipped) and again takes p consecutive labels.
     Only the final run may be shorter than p.
     """
-    lam = as_partition(lam)
-    check_odd_p(p)
-    if not lam:
-        raise ValueError("the empty partition has no rim")
-    return PRim(lam, p, tuple(_rim_counts(lam, p)))
+    lam = _partition_arg(lam, p)
+    rows, rest = _first_step(lam, p)
+    return PRim(lam, p, tuple(map(sub, rows, rest)))
 
 
 def remove_p_rim(lam, p) -> tuple:
     """Delete the p-rim; the result is a partition of |lam| - len(p_rim(lam, p))."""
-    pr = p_rim(lam, p)
-    return _remove(pr.lam, list(map(sub, pr.lam, pr.counts)))
+    return _remove(*_first_step(_partition_arg(lam, p), p))
 
 
 def p_rim_star(lam, p) -> PRimStar:
@@ -235,18 +234,13 @@ def p_rim_star(lam, p) -> PRimStar:
     eps_star = 1 exactly when the rim* contains a diagonal cell.
     """
     lam = _self_conjugate_arg(lam, p)
-    if not lam:
-        raise ValueError("the empty partition has no rim")
-    top = lam[: _durfee(lam)]
-    rest = _star_cut(top, p)
+    top, rest = _first_step(lam, p, star=True)
     return PRimStar(lam, tuple(map(sub, top, rest)), *_star_stats(top, rest))
 
 
 def remove_p_rim_star(lam, p) -> tuple:
     """Delete the symmetrized p-rim; the result is again self-conjugate."""
-    star = p_rim_star(lam, p)
-    top = star.lam[: len(star.counts)]
-    return _symmetric(_remove_star(top, list(map(sub, top, star.counts))))
+    return _symmetric(_remove_star(*_first_step(_self_conjugate_arg(lam, p), p, star=True)))
 
 
 # Growth, shared by the symbol reconstruction and the layer construction.

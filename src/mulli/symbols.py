@@ -15,7 +15,7 @@ as its trusted columns (a, r), from _columns to _reconstruct.
 
 from dataclasses import dataclass
 
-from .partitions import MAX_CELLS, _is_weakly_decreasing, _regular_arg, check_odd_p
+from .partitions import MAX_CELLS, _is_int, _is_weakly_decreasing, _regular_arg, check_odd_p
 from .rims import _grow, _peel, _star_stats, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
 
 
@@ -61,7 +61,7 @@ class Symbol:
         if len(self.a) != len(self.r):
             raise ValueError("symbol rows must have equal length")
         for x in self.a + self.r:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            if not _is_int(x) or x < 1:
                 raise ValueError(f"symbol entries must be positive integers, got {x!r}")
         if self.kind not in ("mullineux", "bg"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")

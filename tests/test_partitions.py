@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from mulli import (
     MAX_CELLS,
+    Symbol,
+    add_rim_star_layer,
     as_partition,
+    bg_counts_from_gf,
     conjugate,
     diagonal_hook_lengths,
     durfee_length,
@@ -15,6 +18,7 @@ from mulli import (
     is_p_regular,
     is_self_conjugate,
     parse_partition,
+    partitions_of,
     self_conjugate_from_diagonal_hooks,
     truncate_to_durfee,
 )
@@ -206,3 +210,34 @@ def test_as_partition_messages_name_the_first_bad_part():
             as_partition(bad)
         assert str(err.value) == message
     assert as_partition((Part.BIG, Part.SMALL, 1)) == (3, 1, 1)
+
+
+# Every integer argument of the public API, as (call with x in that slot, a valid x).
+INTEGER_ARGUMENTS = {
+    "p": (lambda x: is_p_regular((2, 1), x), 3),
+    "p of a layer": (lambda x: add_rim_star_layer((1,), 1, 0, x), 3),
+    "p of a symbol": (lambda x: Symbol(x, (), ()), 3),
+    "p of the generating function": (lambda x: bg_counts_from_gf(x, 3), 3),
+    "n": (lambda x: list(partitions_of(x)), 1),
+    "largest": (lambda x: list(partitions_of(3, x)), 1),
+    "n_max": (lambda x: bg_counts_from_gf(3, x), 1),
+    "m": (lambda x: add_rim_star_layer((1,), 1, x, 3), 1),
+    "eps = 1": (lambda x: add_rim_star_layer((1,), x, 0, 3), 1),
+    "eps = 0": (lambda x: add_rim_star_layer((1,), x, 0, 3), 0),
+    "row": (lambda x: hook_length((3, 2), x, 1), 1),
+    "col": (lambda x: hook_length((3, 2), 1, x), 1),
+    "symbol entry a": (lambda x: Symbol(3, (x,), (1,)), 1),
+    "symbol entry r": (lambda x: Symbol(3, (1,), (x,)), 1),
+    "diagonal hook": (lambda x: self_conjugate_from_diagonal_hooks((x,)), 1),
+    "part": (lambda x: as_partition((x,)), 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "str"])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_must_be_ints(argument, kind):
+    call, valid = INTEGER_ARGUMENTS[argument]
+    call(valid)
+    bad = {"bool": bool(valid), "float": float(valid), "str": str(valid)}[kind]
+    with pytest.raises(ValueError):
+        call(bad)
