@@ -10,8 +10,10 @@ reverse direction rebuilds the BG-partition layer by layer.  Both
 directions validate their input once, then pass trusted columns (a, r).
 """
 
-from .partitions import MAX_CELLS, _conjugate, _durfee, _has_hook_divisible, _is_bg, _is_int, _is_weakly_decreasing
-from .partitions import _partition_arg, _regular_arg, _self_conjugate_arg, _symmetric, _top_size
+from operator import lt
+
+from .partitions import MAX_CELLS, _betas, _conjugate, _durfee, _has_hook_divisible, _is_bg, _is_int, _partition_arg
+from .partitions import _parts, _regular_arg, _self_conjugate_arg, _symmetric, _top_size
 from .rims import _grow
 from .symbols import Symbol, _columns, _eps, _is_fixed, _reconstruct
 
@@ -56,28 +58,32 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
         raise ValueError("a layer on the empty partition must contain the diagonal cell")
     if base != _conjugate(base):
         raise ValueError(f"{base} is not self-conjugate")
-    top = _add_layer(base[: _durfee(base)], eps, m, p)
-    if _top_size(top) > MAX_CELLS:
-        raise ValueError(f"the grown partition of {_top_size(top)} cells exceeds the size cap {MAX_CELLS}")
-    return _symmetric(top)
+    top = base[: _durfee(base)]
+    c = _add_layer(_betas(top)[::-1], eps, m, p)
+    if _top_size(c) > MAX_CELLS:
+        raise ValueError(f"the grown partition of {_top_size(c)} cells exceeds the size cap {MAX_CELLS}")
+    return _unfold(c)
 
 
-def _add_layer(top, eps, m, p) -> tuple:
-    """add_rim_star_layer on the Durfee rows `top`; returns the new Durfee rows.
+def _add_layer(c, eps, m, p) -> list:
+    """add_rim_star_layer on the beta numbers c of the Durfee rows, bottom row first; returns the new ones.
 
-    Every cell grows on or above the diagonal, so the walk only needs
-    the Durfee rows; with eps = 1 row d + 1 joins them with a virtual
-    end at column d, which makes the diagonal start cell (d+1, d+1) its
-    first vacant cell.  Mirroring is left to _symmetric.
+    Every cell grows on or above the diagonal, so the walk only needs the
+    Durfee rows; with eps = 1 row d + 1 joins them with a virtual end at
+    column d (beta number -1), so the growth starts at the diagonal cell (d+1, d+1).
     """
-    rows = list(top) + [len(top)] * eps
     # the diagonal start cell completes an m = 0 run by itself
-    placed = _grow(rows, m + 1 if eps else p, p)
-    if not _is_weakly_decreasing(rows):
-        raise RuntimeError(f"layer growth on the Durfee rows {top} lost self-conjugacy: {rows}")
-    if _top_size(rows) != _top_size(top) + 2 * placed - eps:
-        raise RuntimeError(f"layer growth on the Durfee rows {top} placed {placed} cells but grew to {rows}")
-    return tuple(rows)
+    return _grow([-1] + c, m + 1, p) if eps else _grow(c, p, p)
+
+
+def _unfold(c) -> tuple:
+    """The self-conjugate partition whose Durfee rows have the grown beta numbers c, bottom row first.
+
+    c must strictly increase from c_0 >= 0, so that every row still reaches the diagonal.
+    """
+    if c[0] < 0 or not all(map(lt, c, c[1:])):
+        raise RuntimeError(f"layer growth lost self-conjugacy: {_parts(reversed(c))}")
+    return _symmetric(_parts(reversed(c)))
 
 
 def bg_to_mull(lam, p) -> tuple:
@@ -97,9 +103,10 @@ def mull_to_bg(lam, p) -> tuple:
 
     Validates the input on its symbol (a_i = 2 r_i - eps_i per column,
     independent of mullineux_map), then folds add_rim_star_layer over
-    the columns right to left: the last column seeds the hook
-    (r_l, 1^(r_l - 1)), and column i contributes a layer with
-    eps_i = 0 if p | a_i else 1 and m = (r_i - eps_i) mod p.  Every
+    the columns right to left, from the empty partition: column i
+    contributes a layer with eps_i = 0 if p | a_i else 1 and
+    m = (r_i - eps_i) mod p, so the last column gives the hook
+    (r_l, 1^(r_l - 1)) and every layer adds a_i cells.  Every
     intermediate partition must be a BG-partition; the final one has bg
     symbol equal to the input's symbol.
     """
@@ -112,13 +119,15 @@ def mull_to_bg(lam, p) -> tuple:
         return ()
     if _eps(a[-1], p) != 1:
         raise RuntimeError(f"last column of {Symbol(p, a, r).to_text()} has eps = 0; impossible for a fixed point")
-    # intermediates are kept as Durfee rows; every valid top is self-conjugate
-    top = (r[-1],)
-    if _has_hook_divisible(top, p):
-        raise RuntimeError(f"seed hook {_symmetric(top)} is not a BG-partition for p={p}")
-    for i in range(len(a) - 2, -1, -1):
+    # intermediates are the beta numbers of their Durfee rows, bottom row first
+    c, size = [], 0
+    for i in range(len(a) - 1, -1, -1):
         eps = _eps(a[i], p)
-        top = _add_layer(top, eps, (r[i] - eps) % p, p)
-        if _has_hook_divisible(top, p):
-            raise RuntimeError(f"intermediate {_symmetric(top)} is not a BG-partition for p={p}")
-    return _symmetric(top)
+        grown = _add_layer(c, eps, (r[i] - eps) % p, p)
+        size += a[i]
+        if _top_size(grown) != size:
+            raise RuntimeError(f"layer growth on the Durfee rows {_parts(reversed(c))} grew to {_parts(reversed(grown))}, not by {a[i]} cells")
+        if _has_hook_divisible(grown, p):
+            raise RuntimeError(f"intermediate {_symmetric(_parts(reversed(grown)))} is not a BG-partition for p={p}")
+        c = grown
+    return _unfold(c)

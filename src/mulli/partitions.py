@@ -20,12 +20,16 @@ Conventions:
 Every function is pure and every value immutable.
 """
 
+import sys
 from itertools import accumulate
-from operator import le, sub
+from operator import add, le, sub
 
 # Desk-scale tool: partitions are validated to at most this many cells,
 # so all arithmetic stays in machine words.
 MAX_CELLS = 10**6
+
+# row indices 1, 2, ... for map, which stops at its shortest argument
+_ROWS = range(1, sys.maxsize)
 
 
 def as_partition(parts) -> tuple[int, ...]:
@@ -35,7 +39,10 @@ def as_partition(parts) -> tuple[int, ...]:
     order.  Trailing zeros are rejected, not stripped: canonical input
     is expected from callers, so equality stays structural.
     """
-    lam = tuple(parts)
+    try:
+        lam = tuple(parts)
+    except TypeError:
+        raise ValueError(f"a partition must be an iterable of parts, got {parts!r}") from None
     # builtins accept plain int parts at once; the loop finds the first bad part
     if not lam or set(map(type, lam)) != {int} or lam[-1] < 1 or not _is_weakly_decreasing(lam):
         for x in lam:
@@ -146,15 +153,25 @@ def _symmetric(top) -> tuple[int, ...]:
     return tuple(top) + _conjugate(top)[len(top) :]
 
 
-def _top_size(top) -> int:
-    """Size of _symmetric(top): its diagonal hooks 2 (top_i - i) + 1 summed."""
-    return 2 * sum(top) - len(top) ** 2
+def _betas(rows) -> list:
+    """Beta numbers b_i = rows_i - i: strictly decreasing exactly when the rows weakly decrease."""
+    return list(map(sub, rows, _ROWS))
 
 
-def _has_hook_divisible(top, p) -> bool:
-    """Whether p divides a diagonal hook 2 (top_i - i) + 1 of _symmetric(top)."""
-    # p is odd, so p | 2 (top_i - i) + 1 exactly when top_i - i = (p - 1) / 2 mod p
-    return (p - 1) // 2 in map(p.__rmod__, map(sub, top, range(1, len(top) + 1)))
+def _parts(betas) -> tuple:
+    """The row lengths b_i + i of the beta numbers b_1, b_2, ... (any iterable)."""
+    return tuple(map(add, betas, _ROWS))
+
+
+def _top_size(betas) -> int:
+    """Size of _symmetric(top), given the beta numbers of top: its diagonal hooks 2 b_i + 1 summed."""
+    return 2 * sum(betas) + len(betas)
+
+
+def _has_hook_divisible(betas, p) -> bool:
+    """Whether p divides a diagonal hook 2 b_i + 1 of _symmetric(top), given the beta numbers of top."""
+    # p is odd, so p | 2 b_i + 1 exactly when b_i = (p - 1) / 2 mod p
+    return (p - 1) // 2 in map(p.__rmod__, betas)
 
 
 def hook_length(lam, row: int, col: int) -> int:
@@ -234,7 +251,7 @@ def is_bg_partition(lam, p) -> bool:
 
 
 def _is_bg(lam, p) -> bool:
-    return lam == _conjugate(lam) and not _has_hook_divisible(lam[: _durfee(lam)], p)
+    return lam == _conjugate(lam) and not _has_hook_divisible(_betas(lam[: _durfee(lam)]), p)
 
 
 def truncate_to_durfee(lam) -> tuple[int, ...]:

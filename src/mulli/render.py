@@ -2,7 +2,7 @@
 
 from operator import sub
 
-from .partitions import _partition_arg, _self_conjugate_arg, as_partition
+from .partitions import _partition_arg, _parts, _self_conjugate_arg, as_partition
 from .rims import _mirrored, _peel, _tail_cells
 
 
@@ -23,8 +23,8 @@ def peel_iterations(lam, p, star=False):
     needs a self-conjugate partition).
     """
     if star:
-        return [_mirrored(_tail_cells(top, map(sub, top, rest))) for top, rest in _peel(_self_conjugate_arg(lam, p), p, star=True)]
-    return [_tail_cells(rows, map(sub, rows, rest)) for rows, rest in _peel(_partition_arg(lam, p), p)]
+        return [_mirrored(_tail_cells(_parts(b), map(sub, b, out))) for b, out, _ in _peel(_self_conjugate_arg(lam, p), p, star=True)]
+    return [_tail_cells(_parts(b), map(sub, b, out)) for b, out, _ in _peel(_partition_arg(lam, p), p)]
 
 
 def render_peeled(lam, p, star=False):

@@ -1,4 +1,4 @@
-"""Rim peeling and rim growth on row lengths.
+"""Rim peeling and rim growth on beta numbers.
 
 The rim of a partition is its south-east border: every cell (i, j) of
 the diagram with (i+1, j+1) outside it.  Row i holds the rim cells in
@@ -6,26 +6,29 @@ columns max(1, lam_{i+1}) .. lam_i, so reading the rim from top right to
 bottom left and cutting runs of p cells (each new run restarting on the
 next row down, see p_rim) selects the p-rim, the set peeled off in one
 step of the symbol computations.  Every run starts at the right end of
-a row, so the p-rim takes a right tail of every row: one pass over the
-rows gives the row lengths left, and each peeling step yields the rows
-and the rows left, whose differences are the cells taken.
+a row, so the p-rim takes a right tail of every row.
 
-For self-conjugate partitions the symmetrized variant keeps the cells
-of the p-rim on or above the diagonal and mirrors them below it.  Those
-cells lie in the Durfee rows (the rows i with lam_i >= i), which
-determine the partition, so the symmetrized peel works on the Durfee
-rows alone.
-
-Growth is the reverse: cells are added at row ends, moving up whenever
-the cell above is vacant, one tight pass per run of rows.  The kernels
-here take trusted tuples and check their invariants once per step with
-builtins; the public functions validate their input once.
+The kernels work on beta numbers b_i = lam_i - i, which strictly
+decrease exactly when the rows weakly decrease; partitions are converted
+once on the way in and once on the way out, and a step is one
+comparison per row.  Peeling: with t = b_1 - p, going down, row i keeps
+b_{i+1} when b_{i+1} > t, else it takes t and t becomes b_{i+1} - p; the
+last row keeps max(t, floor).  A p-rim has floor -l (l rows), and a row
+at -i is empty.  The symmetrized p-rim of a self-conjugate partition
+keeps the p-rim's cells on or above the diagonal and mirrors them; they
+lie in the Durfee rows (b_i >= 0), which determine the partition, so it
+is the same step on the Durfee rows with floor -1: the last one ends at
+-1 exactly when a diagonal cell goes (eps_star = 1), and then leaves.
+Growth mirrors peeling, bottom row first: with t = b_bottom + first,
+going up, a row keeps the b of the row above when that is below t, else
+it takes t and t becomes that b + p; row 1 takes t.  The kernels take
+trusted input and check their invariants once per step with builtins.
 """
 
 from dataclasses import dataclass
-from operator import sub
+from operator import gt, lt, sub
 
-from .partitions import _durfee, _is_weakly_decreasing, _partition_arg, _self_conjugate_arg, _symmetric, as_partition
+from .partitions import _betas, _durfee, _partition_arg, _parts, _self_conjugate_arg, _symmetric, as_partition
 
 
 def _tail_cells(rows, counts) -> tuple:
@@ -114,93 +117,55 @@ def _rim_lengths(rows) -> list:
     return [part - end + 1 for part, end in zip(rows, rows[1:] + (1,))]
 
 
-def _cut(rows, p, below=0) -> list:
-    """Row lengths left after the p-rim is taken, zeros included, in one pass.
-
-    Row i's rim holds the columns next .. lam_i, with next = lam_{i+1}
-    (`below or 1` after the last row).  A run that uses up row i's rim
-    leaves next - 1 cells and goes on in row i + 1; a run that stops
-    inside it (or at its last rim cell) leaves lam_i - need, and the
-    next run restarts on row i + 1.  Either way every row is entered
-    once, in order.  Only the rows given are walked, so passing the top
-    rows of a partition (with `below` the next row) cuts those rows.
-    """
-    rest = []
-    need = p
-    for part, nxt in zip(rows, rows[1:] + (below or 1,)):
-        floor, left = nxt - 1, part - need
-        if left < floor:
-            rest.append(floor)
-            need = floor - left
-        else:
-            rest.append(left)
-            need = p
-    return rest
-
-
-def _star_cut(top, p) -> list:
-    """Durfee rows left after the symmetrized p-rim takes its cells on or above the diagonal.
-
-    top is the Durfee rows of a self-conjugate partition; its next row
-    has one cell per top row reaching past the Durfee square.  Only the
-    last Durfee row can reach the diagonal: the rim of any row i above
-    it ends at column lam_{i+1} >= i + 1.
-    """
-    d = len(top)
-    rest = _cut(top, p, sum(map(d.__lt__, top)))
-    rest[-1] = max(rest[-1], d - 1)
-    return rest
-
-
-def _star_stats(top, rest) -> tuple:
-    """(a_star, r_star, eps_star) of the symmetrized p-rim that leaves `rest` of the Durfee rows `top`."""
-    r_star = sum(top) - sum(rest)
-    eps_star = 1 if rest[-1] == len(top) - 1 else 0
-    return 2 * r_star - eps_star, r_star, eps_star
-
-
-def _remove(rows, rest) -> tuple:
-    """The partition left when each row keeps rest[i] cells; rest must be weakly decreasing and >= 0."""
-    if not _is_weakly_decreasing(rest) or rest[-1] < 0:
-        raise RuntimeError(f"rim removal broke the diagram of {rows}: {rest}")
-    return tuple(rest[: len(rest) - rest.count(0)])
-
-
-def _remove_star(top, rest) -> tuple:
-    """Durfee rows left after removing the symmetrized p-rim.
-
-    Removing the cells above the diagonal and their mirrors leaves a
-    self-conjugate partition of |lam| - a_star exactly when the rows
-    still reaching the diagonal are a weakly decreasing prefix that is
-    eps_star rows shorter than before (eps_star = 1 leaves row d with d - 1).
-    """
-    d = len(top)
-    kept = d - 1 if rest[-1] == d - 1 else d
-    if not _is_weakly_decreasing(rest[:kept]) or kept and rest[kept - 1] < kept:
-        raise RuntimeError(f"rim* removal from the Durfee rows {top} lost self-conjugacy: {rest}")
-    return tuple(rest[:kept])
-
-
 def _peel(lam, p, star=False):
-    """Yield (rows, rest) for each peeling step of a trusted partition.
+    """Yield (b, out, taken) for each peeling step of a trusted partition.
 
-    star=False peels p-rims: rows is the partition before the step and
-    rest[i] the cells its row i + 1 keeps (zeros included), so the step
-    takes rows[i] - rest[i] cells from the end of that row.  star=True
-    peels symmetrized p-rims of a self-conjugate lam: rows is the Durfee
-    rows before the step (the partition is _symmetric(rows)) and rest
-    what they keep of the cells on or above the diagonal.
+    star=False peels p-rims: b holds the beta numbers of the partition
+    before the step and out those of its rows after it (empty rows at
+    -i included), so row i loses b_i - out_i cells, taken in all.
+    star=True peels symmetrized p-rims of a self-conjugate lam on its
+    Durfee rows, floor -1, and taken is r_star.  Asking for the next
+    step trims out in place (_left): read each step before that.
     """
-    cut, remove = (_star_cut, _remove_star) if star else (_cut, _remove)
-    rows = lam[: _durfee(lam)] if star else lam
-    while rows:
-        rest = cut(rows, p)
-        yield rows, rest
-        rows = remove(rows, rest)
+    b = _betas(lam[: _durfee(lam)] if star else lam)
+    while b:
+        floor = -1 if star else -len(b)
+        out = []
+        append = out.append
+        # sum(b) - sum(out) telescopes to b_1 - out_l plus x - t over the rows that take t
+        taken = b[0]
+        t = taken - p
+        for x in b[1:]:
+            if x > t:
+                append(x)
+            else:
+                append(t)
+                taken += x - t
+                t = x - p
+        t = t if t > floor else floor
+        append(t)
+        yield b, out, taken - t
+        b = _left(b, out, star)
+
+
+def _left(b, out, star=False) -> list:
+    """The beta numbers a step from b leaves: out, checked and trimmed in place.
+
+    out must strictly decrease, which with its last row at the floor or above keeps
+    starred rows a Durfee prefix; a plain step drops its empty rows (row i at -i),
+    a starred one a last Durfee row at -1, below the diagonal.
+    """
+    if not all(map(gt, out, out[1:])):
+        if star:
+            raise RuntimeError(f"rim* removal from the Durfee rows {_parts(b)} lost self-conjugacy: {list(_parts(out))}")
+        raise RuntimeError(f"rim removal broke the diagram of {_parts(b)}: {list(_parts(out))}")
+    while out and out[-1] == (-1 if star else -len(out)):
+        out.pop()
+    return out
 
 
 def _first_step(lam, p, star=False) -> tuple:
-    """(rows, rest) of _peel's first step on a trusted partition, so every rim is a symbol column."""
+    """(b, out, taken) of _peel's first step on a trusted partition, so every rim is a symbol column."""
     if not lam:
         raise ValueError("the empty partition has no rim")
     return next(_peel(lam, p, star))
@@ -216,13 +181,14 @@ def p_rim(lam, p) -> PRim:
     Only the final run may be shorter than p.
     """
     lam = _partition_arg(lam, p)
-    rows, rest = _first_step(lam, p)
-    return PRim(lam, p, tuple(map(sub, rows, rest)))
+    b, out, _ = _first_step(lam, p)
+    return PRim(lam, p, tuple(map(sub, b, out)))
 
 
 def remove_p_rim(lam, p) -> tuple:
     """Delete the p-rim; the result is a partition of |lam| - len(p_rim(lam, p))."""
-    return _remove(*_first_step(_partition_arg(lam, p), p))
+    b, out, _ = _first_step(_partition_arg(lam, p), p)
+    return _parts(_left(b, out))
 
 
 def p_rim_star(lam, p) -> PRimStar:
@@ -234,44 +200,38 @@ def p_rim_star(lam, p) -> PRimStar:
     eps_star = 1 exactly when the rim* contains a diagonal cell.
     """
     lam = _self_conjugate_arg(lam, p)
-    top, rest = _first_step(lam, p, star=True)
-    return PRimStar(lam, tuple(map(sub, top, rest)), *_star_stats(top, rest))
+    b, out, r_star = _first_step(lam, p, star=True)
+    eps_star = 1 if out[-1] == -1 else 0
+    return PRimStar(lam, tuple(map(sub, b, out)), 2 * r_star - eps_star, r_star, eps_star)
 
 
 def remove_p_rim_star(lam, p) -> tuple:
     """Delete the symmetrized p-rim; the result is again self-conjugate."""
-    return _symmetric(_remove_star(*_first_step(_self_conjugate_arg(lam, p), p, star=True)))
+    b, out, _ = _first_step(_self_conjugate_arg(lam, p), p, star=True)
+    return _symmetric(_parts(_left(b, out, star=True)))
 
 
-# Growth, shared by the symbol reconstruction and the layer construction.
-# `rows` is a mutable list of row ends.
-
-
-def _grow(rows, first, p) -> int:
-    """Grow runs of cells onto the row ends `rows`; return how many were placed.
+def _grow(c, first, p) -> list:
+    """Grow one rim onto the beta numbers c, listed bottom row first; return the new ones.
 
     The first run holds `first` cells and starts at the first vacant
-    column of the last row, every later run holds p cells and starts at
-    the first vacant column of the row above the previous run's last
+    column of the bottom row, every later run holds p cells and starts
+    at the first vacant column of the row above the previous run's last
     cell; the walk stops after a run that ends in row 1.  Within a run
     each cell goes directly above the last one if that spot is vacant,
-    else to its right, so on weakly decreasing rows a run places one
-    batch per row: up to rows[i - 1] - rows[i] + 1 cells, then moves up.
+    else to its right (the module's growth step); c must strictly increase.
     """
-    if not _is_weakly_decreasing(rows):
-        raise RuntimeError(f"growth onto ragged rows {rows}")
-    before = sum(rows)
-    need, end = first, rows[-1]
-    for i in range(len(rows) - 1, 0, -1):
-        above = rows[i - 1]
-        here = above - end + 1
-        if here >= need:
-            # the run ends in this row; the next one starts in the row above
-            rows[i] = end + need
-            need = p
+    above = c[1:]
+    if not all(map(lt, c, above)):
+        raise RuntimeError(f"growth onto ragged rows {_parts(c[::-1])}")
+    out = []
+    append = out.append
+    t = c[0] + first
+    for x in above:
+        if x < t:
+            append(x)
         else:
-            rows[i] = above + 1
-            need -= here
-        end = above
-    rows[0] += need
-    return sum(rows) - before
+            append(t)
+            t = x + p
+    append(t)
+    return out

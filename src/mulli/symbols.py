@@ -14,9 +14,10 @@ as its trusted columns (a, r), from _columns to _reconstruct.
 """
 
 from dataclasses import dataclass
+from operator import lt
 
-from .partitions import MAX_CELLS, _is_int, _is_weakly_decreasing, _regular_arg, check_odd_p
-from .rims import _grow, _peel, _star_stats, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
+from .partitions import MAX_CELLS, _is_int, _parts, _regular_arg, check_odd_p
+from .rims import _grow, _peel, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
 
 
 def _eps(a, p) -> int:
@@ -30,13 +31,16 @@ def _is_fixed(a, r, p) -> bool:
 
 
 def _columns(lam, p, star=False) -> tuple:
-    """Columns (a, r) of a trusted partition, one per peeling step; star=True gives the bg columns."""
-    a, r = [], []
-    for rows, rest in _peel(lam, p, star):
-        a_i, r_i = _star_stats(rows, rest)[:2] if star else (sum(rows) - sum(rest), len(rows))
-        a.append(a_i)
-        r.append(r_i)
-    return tuple(a), tuple(r)
+    """Columns (a, r) of a trusted partition, one per peeling step; star=True gives the bg columns.
+
+    A starred step takes r_star cells, one on the diagonal (eps_star = 1)
+    exactly when its last Durfee row ends at -1; a_star = 2 r_star - eps_star.
+    """
+    if star:
+        columns = [(2 * taken - (out[-1] == -1), taken) for _, out, taken in _peel(lam, p, True)]
+    else:
+        columns = [(taken, len(b)) for b, _, taken in _peel(lam, p)]
+    return tuple(zip(*columns)) if columns else ((), ())
 
 
 @dataclass(frozen=True)
@@ -170,20 +174,27 @@ def _reconstruct(a, r, p) -> tuple:
     directly above the last one if that spot is vacant, else to its
     right, and between groups the walk jumps one row up to the first
     vacant column.  The last cell must land in row 1 as the a_i-th.
+    Rows are beta numbers, bottom row first: new empty rows prepend -r_i .. -l - 1.
     """
     if not a:
         return ()
-    rows = [a[-1] - r[-1] + 1] + [1] * (r[-1] - 1)
+    c = [*range(1 - r[-1], 0), a[-1] - r[-1]]
+    size = a[-1]
     for i in range(len(a) - 2, -1, -1):
-        rows.extend([0] * (r[i] - len(rows)))
-        placed = _grow(rows, a[i] % p or p, p)
+        rows = r[i]
+        if rows > len(c):
+            c = [*range(-rows, -len(c)), *c]
+        if len(c) != rows:
+            raise RuntimeError(f"growth of column {i} produced the wrong row count")
+        c = _grow(c, a[i] % p or p, p)
+        # the size sum(b) + l (l + 1) / 2 does not change when empty rows join
+        placed = sum(c) + rows * (rows + 1) // 2 - size
         if placed != a[i]:
             raise RuntimeError(f"rim growth reached row 1 with {placed} of {a[i]} cells placed")
-        if len(rows) != r[i]:
-            raise RuntimeError(f"growth of column {i} produced the wrong row count")
-    if 0 in rows or not _is_weakly_decreasing(rows):
-        raise RuntimeError(f"growth broke row monotonicity: {rows}")
-    return tuple(rows)
+        size += placed
+    if c[0] < 1 - len(c) or not all(map(lt, c, c[1:])):
+        raise RuntimeError(f"growth broke row monotonicity: {list(_parts(reversed(c)))}")
+    return _parts(reversed(c))
 
 
 def mullineux_map(lam, p) -> tuple:
@@ -199,4 +210,7 @@ def is_self_mullineux(lam, p) -> bool:
 
 def _is_self_mullineux(lam, p) -> bool:
     """is_self_mullineux on a trusted p-regular partition; stops at the first failing column."""
-    return all(_is_fixed(sum(rows) - sum(rest), len(rows), p) for rows, rest in _peel(lam, p))
+    for b, _, taken in _peel(lam, p):
+        if not _is_fixed(taken, len(b), p):
+            return False
+    return True

@@ -179,11 +179,12 @@ def test_out_to_unwritable_path_is_a_domain_error(tmp_path):
 
 def test_broken_invariant_exits_4(monkeypatch, capsys):
     from mulli import cli, rims
+    from mulli.partitions import _parts
 
-    def broken(rows, counts):
-        raise RuntimeError(f"rim removal broke the diagram of {rows}")
+    def broken(b, out, star=False):
+        raise RuntimeError(f"rim removal broke the diagram of {_parts(b)}")
 
-    monkeypatch.setattr(rims, "_remove", broken)
+    monkeypatch.setattr(rims, "_left", broken)
     assert cli.main(["symbol", "-p", "3", "5"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -58,6 +58,30 @@ def walked_symbol(lam, p):
     return tuple(a), tuple(r)
 
 
+def walked_star_symbol(lam, p):
+    """bg symbol by peeling, each step, the walked p-rim's cells on or above the diagonal and their mirrors."""
+    rows = list(lam)
+    a, r, layers = [], [], []
+    while rows:
+        upper = {(i + 1, col) for i, col in walked_rim(rows, p) if col >= i + 1}
+        layer = upper | {(col, i) for i, col in upper}
+        a.append(len(layer))
+        r.append(len(upper))
+        layers.append(layer)
+        take(rows, layer)
+    return tuple(a), tuple(r), layers
+
+
+def all_partitions(n, largest=None):
+    """Every partition of n with parts at most `largest`, by recursion on the first part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in all_partitions(n - first, first):
+            yield (first,) + rest
+
+
 @st.composite
 def p_regular_partitions(draw, low=200, high=3000):
     """(lam, p) with low <= |lam| <= high; part j occurs at most p - 1 times."""
@@ -182,3 +206,34 @@ def test_large_star_peel_steps_match_the_walked_rim(case):
         assert set(layer) == upper | {(col, i) for i, col in upper}
         take(rows, layer)
     assert rows == []
+
+
+def test_every_small_partition_against_the_cell_walk():
+    """Symbols, peel layers, reconstruction and both bijection directions, for n <= 12 and p in {3, 5, 7, 9}."""
+    for n in range(13):
+        for lam in all_partitions(n):
+            conj = tuple(sum(1 for part in lam if part >= j) for j in range(1, (lam[0] if lam else 0) + 1))
+            for p in (3, 5, 7, 9):
+                rows = list(lam)
+                for layer in peel_iterations(lam, p):
+                    assert layer == tuple((i + 1, col) for i, col in walked_rim(rows, p))
+                    take(rows, layer)
+                if is_p_regular(lam, p):
+                    a, r = walked_symbol(lam, p)
+                    sym = mullineux_symbol(lam, p)
+                    assert (sym.a, sym.r) == (a, r)
+                    assert reconstruct(sym) == lam
+                    if all(x == 2 * y - (x % p != 0) for x, y in zip(a, r)):
+                        partner = mull_to_bg(lam, p)
+                        assert walked_star_symbol(partner, p)[:2] == (a, r)
+                        assert bg_to_mull(partner, p) == lam
+                if lam == conj:
+                    a, r, layers = walked_star_symbol(lam, p)
+                    s = bg_symbol(lam, p)
+                    assert (s.a, s.r) == (a, r)
+                    assert [set(layer) for layer in peel_iterations(lam, p, star=True)] == layers
+                    hooks = [2 * (part - i) + 1 for i, part in enumerate(lam, start=1) if part >= i]
+                    if all(h % p for h in hooks):
+                        partner = bg_to_mull(lam, p)
+                        assert walked_symbol(partner, p) == (a, r)
+                        assert mull_to_bg(partner, p) == lam

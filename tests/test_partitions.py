@@ -17,6 +17,8 @@ from mulli import (
     is_bg_partition,
     is_p_regular,
     is_self_conjugate,
+    mullineux_map,
+    p_rim,
     parse_partition,
     partitions_of,
     self_conjugate_from_diagonal_hooks,
@@ -241,3 +243,11 @@ def test_integer_arguments_must_be_ints(argument, kind):
     bad = {"bool": bool(valid), "float": float(valid), "str": str(valid)}[kind]
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [5, None])
+def test_a_partition_must_be_iterable(bad):
+    calls = [as_partition, lambda x: p_rim(x, 3), lambda x: mullineux_map(x, 3), lambda x: add_rim_star_layer(x, 1, 0, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"a partition must be an iterable of parts, got {bad!r}"):
+            call(bad)

@@ -137,31 +137,83 @@ def test_remove_p_rim_star_conserves_cells(lam, p):
 
 
 def test_remove_rejects_an_inner_empty_row():
-    from mulli.rims import _remove
+    from mulli.partitions import _betas, _parts
+    from mulli.rims import _left
 
+    # the rows (3, 2, 1) keeping [2, 0, 1] would leave an empty row 2 above a full row 3
     with pytest.raises(RuntimeError, match="rim removal broke the diagram"):
-        _remove((3, 2, 1), [2, 0, 1])
-    assert _remove((3, 2, 1), [2, 1, 0]) == (2, 1)
+        _left(_betas((3, 2, 1)), _betas([2, 0, 1]))
+    assert _parts(_left(_betas((3, 2, 1)), _betas([2, 1, 0]))) == (2, 1)
 
 
 def test_remove_star_rejects_a_broken_durfee_prefix():
-    from mulli.rims import _remove_star
+    from mulli.partitions import _betas, _parts
+    from mulli.rims import _left
 
     # eps* = 1 keeps two rows, but the second no longer reaches the diagonal
     with pytest.raises(RuntimeError, match="lost self-conjugacy"):
-        _remove_star((4, 3, 3), [3, 1, 2])
+        _left(_betas((4, 3, 3)), _betas([3, 1, 2]), star=True)
     # eps* = 0 keeps all three, which are not weakly decreasing
     with pytest.raises(RuntimeError, match="lost self-conjugacy"):
-        _remove_star((4, 4, 4), [3, 4, 3])
-    assert _remove_star((4, 3, 3), [3, 2, 2]) == (3, 2)
+        _left(_betas((4, 4, 4)), _betas([3, 4, 3]), star=True)
+    assert _parts(_left(_betas((4, 3, 3)), _betas([3, 2, 2]), star=True)) == (3, 2)
 
 
 def test_grow_rejects_ragged_rows():
+    from mulli.partitions import _betas, _parts
     from mulli.rims import _grow
 
-    # a first run of one cell used to slip past the per-row check
+    # the rows (1, 2), bottom row first: a first run of one cell must not slip past the check
     for first in (1, 2, 3):
         with pytest.raises(RuntimeError, match="ragged"):
-            _grow([1, 2], first, 3)
-    rows = [2, 1]
-    assert _grow(rows, 1, 3) == 4 and rows == [5, 2]
+            _grow(_betas((1, 2))[::-1], first, 3)
+    grown = _grow(_betas((2, 1))[::-1], 1, 3)
+    assert _parts(grown[::-1]) == (5, 2) and sum(grown) - sum(_betas((2, 1))) == 4
+
+
+def peel_error(lam, star):
+    """The error _peel raises when the step from `lam`, rows that are no partition, is used."""
+    from mulli.rims import _peel
+
+    steps = _peel(lam, 3, star)
+    next(steps)
+    with pytest.raises(RuntimeError) as err:
+        next(steps)
+    return str(err.value)
+
+
+# Each broken invariant names row lengths, never the beta numbers the kernels work on.
+
+
+def test_peel_rejects_equal_neighbouring_beta_numbers():
+    # the rows (2, 3, 4) have the beta numbers 1, 1, 1, and the rows left by the step 1, 1, -2
+    assert peel_error((2, 3, 4), star=False) == "rim removal broke the diagram of (2, 3, 4): [2, 3, 1]"
+
+
+def test_star_peel_rejects_a_broken_durfee_prefix():
+    # the step leaves the Durfee rows (2, 3), which are not weakly decreasing
+    assert peel_error((2, 3, 4), star=True) == "rim* removal from the Durfee rows (2, 3, 4) lost self-conjugacy: [2, 3, 2]"
+
+
+def test_layer_growth_rejects_ragged_input():
+    from mulli import bg
+
+    # a Durfee row of length 0 misses the diagonal; with the virtual row below it the rows are (0, 1)
+    with pytest.raises(RuntimeError) as err:
+        bg._add_layer([-1], 1, 0, 3)
+    assert str(err.value) == "growth onto ragged rows (0, 1)"
+
+
+def test_layer_size_check_fires(monkeypatch):
+    from mulli import bg
+    from mulli.rims import _grow
+
+    def one_cell_too_many(c, first, p):
+        grown = _grow(c, first, p)
+        grown[-1] += 1  # at the end of row 1
+        return grown
+
+    monkeypatch.setattr(bg, "_grow", one_cell_too_many)
+    with pytest.raises(RuntimeError) as err:
+        bg.mull_to_bg((1,), 3)
+    assert str(err.value) == "layer growth on the Durfee rows () grew to (2,), not by 1 cells"
