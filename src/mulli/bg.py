@@ -10,10 +10,8 @@ reverse direction rebuilds the BG-partition layer by layer.  Both
 directions validate their input once, then pass trusted columns (a, r).
 """
 
-from operator import lt
-
-from .partitions import MAX_CELLS, _betas, _conjugate, _durfee, _has_hook_divisible, _is_bg, _is_int, _partition_arg
-from .partitions import _parts, _regular_arg, _self_conjugate_arg, _symmetric, _top_size
+from .partitions import MAX_CELLS, _arms, _conjugate, _has_hook_divisible, _is_bg, _is_int, _partition_arg, _parts
+from .partitions import _regular_arg, _self_conjugate_arg, _top_size, _unfold
 from .rims import _grow
 from .symbols import Symbol, _columns, _eps, _is_fixed, _reconstruct
 
@@ -58,11 +56,10 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
         raise ValueError("a layer on the empty partition must contain the diagonal cell")
     if base != _conjugate(base):
         raise ValueError(f"{base} is not self-conjugate")
-    top = base[: _durfee(base)]
-    c = _add_layer(_betas(top)[::-1], eps, m, p)
+    c = _add_layer(_arms(base)[::-1], eps, m, p)
     if _top_size(c) > MAX_CELLS:
         raise ValueError(f"the grown partition of {_top_size(c)} cells exceeds the size cap {MAX_CELLS}")
-    return _unfold(c)
+    return _unfold(c[::-1])
 
 
 def _add_layer(c, eps, m, p) -> list:
@@ -74,16 +71,6 @@ def _add_layer(c, eps, m, p) -> list:
     """
     # the diagonal start cell completes an m = 0 run by itself
     return _grow([-1] + c, m + 1, p) if eps else _grow(c, p, p)
-
-
-def _unfold(c) -> tuple:
-    """The self-conjugate partition whose Durfee rows have the grown beta numbers c, bottom row first.
-
-    c must strictly increase from c_0 >= 0, so that every row still reaches the diagonal.
-    """
-    if c[0] < 0 or not all(map(lt, c, c[1:])):
-        raise RuntimeError(f"layer growth lost self-conjugacy: {_parts(reversed(c))}")
-    return _symmetric(_parts(reversed(c)))
 
 
 def bg_to_mull(lam, p) -> tuple:
@@ -128,6 +115,6 @@ def mull_to_bg(lam, p) -> tuple:
         if _top_size(grown) != size:
             raise RuntimeError(f"layer growth on the Durfee rows {_parts(reversed(c))} grew to {_parts(reversed(grown))}, not by {a[i]} cells")
         if _has_hook_divisible(grown, p):
-            raise RuntimeError(f"intermediate {_symmetric(_parts(reversed(grown)))} is not a BG-partition for p={p}")
+            raise RuntimeError(f"intermediate {_unfold(grown[::-1])} is not a BG-partition for p={p}")
         c = grown
-    return _unfold(c)
+    return _unfold(c[::-1])

@@ -14,15 +14,19 @@ Conventions:
   * p always denotes an odd modulus >= 3; primality is deliberately not
     enforced (every definition here is well posed for odd p, though the
     deeper theorems about the maps built on top are proved for primes)
-  * every integer argument is an int and not a bool (_is_int); public
-    functions check their arguments once, here, and call trusted kernels
+  * every integer argument is an int and not a bool (_is_int), every
+    sequence an iterable (_as_tuple); public functions check their
+    arguments once, here, and call trusted kernels
+  * a self-conjugate partition is determined by its arms, the beta numbers
+    b_i = lam_i - i of its Durfee rows; its diagonal hooks are 2 b_i + 1.
+    Kernels convert it once in (_arms) and once out (_unfold)
 
 Every function is pure and every value immutable.
 """
 
 import sys
 from itertools import accumulate
-from operator import add, le, sub
+from operator import add, gt, le, sub
 
 # Desk-scale tool: partitions are validated to at most this many cells,
 # so all arithmetic stays in machine words.
@@ -39,10 +43,7 @@ def as_partition(parts) -> tuple[int, ...]:
     order.  Trailing zeros are rejected, not stripped: canonical input
     is expected from callers, so equality stays structural.
     """
-    try:
-        lam = tuple(parts)
-    except TypeError:
-        raise ValueError(f"a partition must be an iterable of parts, got {parts!r}") from None
+    lam = _as_tuple(parts, "a partition must be an iterable of parts")
     # builtins accept plain int parts at once; the loop finds the first bad part
     if not lam or set(map(type, lam)) != {int} or lam[-1] < 1 or not _is_weakly_decreasing(lam):
         for x in lam:
@@ -65,6 +66,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _as_tuple(items, what) -> tuple:
+    """The one sequence rule of the public API: tuple(items), or ValueError(f"{what}, got {items!r}")."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what}, got {items!r}") from None
+
+
 def check_odd_p(p) -> int:
     """Validate the modulus: an odd integer >= 3 (primality not required)."""
     if not _is_int(p) or p < 3 or p % 2 == 0:
@@ -85,6 +94,8 @@ def parse_partition(text: str) -> tuple[int, ...]:
     Whitespace around commas is ignored.  The result is validated, so
     '1,3' or '2^0' raise ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a partition text must be a string, got {text!r}")
     text = text.strip()
     if text in ("", "-"):
         return ()
@@ -143,14 +154,17 @@ def _durfee(lam) -> int:
     return sum(map(le, range(1, len(lam) + 1), lam))
 
 
-def _symmetric(top) -> tuple[int, ...]:
-    """The self-conjugate partition whose first len(top) rows are top.
+def _arms(lam) -> list:
+    """The beta numbers of the Durfee rows of lam; for a self-conjugate lam they determine it (_unfold)."""
+    return _betas(lam[: _durfee(lam)])
 
-    top must be weakly decreasing with top_i >= i (it is then exactly the
-    Durfee rows of the result); each row below the Durfee square holds as
-    many cells as there are top rows reaching its index.
-    """
-    return tuple(top) + _conjugate(top)[len(top) :]
+
+def _unfold(arms) -> tuple[int, ...]:
+    """The self-conjugate partition with these arms, which must strictly decrease to a last entry >= 0."""
+    if not all(map(gt, arms, arms[1:])) or (arms and arms[-1] < 0):
+        raise RuntimeError(f"the rows {_parts(arms)} are not the Durfee rows of a self-conjugate partition")
+    top = _parts(arms)
+    return top + _conjugate(top)[len(top) :]
 
 
 def _betas(rows) -> list:
@@ -163,15 +177,15 @@ def _parts(betas) -> tuple:
     return tuple(map(add, betas, _ROWS))
 
 
-def _top_size(betas) -> int:
-    """Size of _symmetric(top), given the beta numbers of top: its diagonal hooks 2 b_i + 1 summed."""
-    return 2 * sum(betas) + len(betas)
+def _top_size(arms) -> int:
+    """Size of _unfold(arms): its diagonal hooks 2 b_i + 1 summed."""
+    return 2 * sum(arms) + len(arms)
 
 
-def _has_hook_divisible(betas, p) -> bool:
-    """Whether p divides a diagonal hook 2 b_i + 1 of _symmetric(top), given the beta numbers of top."""
+def _has_hook_divisible(arms, p) -> bool:
+    """Whether p divides a diagonal hook 2 b_i + 1 of _unfold(arms)."""
     # p is odd, so p | 2 b_i + 1 exactly when b_i = (p - 1) / 2 mod p
-    return (p - 1) // 2 in map(p.__rmod__, betas)
+    return (p - 1) // 2 in map(p.__rmod__, arms)
 
 
 def hook_length(lam, row: int, col: int) -> int:
@@ -191,8 +205,7 @@ def diagonal_hook_lengths(lam) -> tuple[int, ...]:
     size, and they determine lam (see self_conjugate_from_diagonal_hooks).
     """
     lam = as_partition(lam)
-    cols = _conjugate(lam)
-    return tuple((lam[i] - i) + (cols[i] - i) - 1 for i in range(_durfee(lam)))
+    return tuple(b + c + 1 for b, c in zip(_arms(lam), _arms(_conjugate(lam))))
 
 
 def self_conjugate_from_diagonal_hooks(hooks) -> tuple[int, ...]:
@@ -203,19 +216,18 @@ def self_conjugate_from_diagonal_hooks(hooks) -> tuple[int, ...]:
     the diagonal cell (i, i); nesting them left to right gives the
     unique self-conjugate preimage.
     """
-    hooks = tuple(hooks)
+    hooks = _as_tuple(hooks, "diagonal hooks must be an iterable of positive odd integers")
     for h in hooks:
         if not _is_int(h) or h < 1 or h % 2 == 0:
             raise ValueError(f"diagonal hooks must be positive odd integers, got {h!r}")
-    for i in range(len(hooks) - 1):
-        if hooks[i] <= hooks[i + 1]:
-            raise ValueError(f"diagonal hooks must be strictly decreasing, got {hooks}")
-    if not hooks:
-        return ()
+    if not all(map(gt, hooks, hooks[1:])):
+        raise ValueError(f"diagonal hooks must be strictly decreasing, got {hooks}")
     if sum(hooks) > MAX_CELLS:
         raise ValueError(f"partition of {sum(hooks)} exceeds the size cap {MAX_CELLS}")
-    lam = as_partition(_symmetric([i + (h - 1) // 2 for i, h in enumerate(hooks, start=1)]))
-    assert diagonal_hook_lengths(lam) == hooks and is_self_conjugate(lam)
+    arms = [(h - 1) // 2 for h in hooks]
+    lam = _unfold(arms)
+    if lam != _conjugate(lam) or _arms(lam) != arms:
+        raise RuntimeError(f"the diagonal hooks {hooks} rebuilt {lam}, which does not have them")
     return lam
 
 
@@ -251,7 +263,7 @@ def is_bg_partition(lam, p) -> bool:
 
 
 def _is_bg(lam, p) -> bool:
-    return lam == _conjugate(lam) and not _has_hook_divisible(_betas(lam[: _durfee(lam)]), p)
+    return lam == _conjugate(lam) and not _has_hook_divisible(_arms(lam), p)
 
 
 def truncate_to_durfee(lam) -> tuple[int, ...]:

@@ -2,14 +2,14 @@
 
 from operator import sub
 
-from .partitions import _partition_arg, _parts, _self_conjugate_arg, as_partition
+from .partitions import _as_tuple, _partition_arg, _parts, _self_conjugate_arg, as_partition
 from .rims import _mirrored, _peel, _tail_cells
 
 
 def render_diagram(lam, highlight=()):
     """Rows of [ ] cells; cells in highlight render as [#]."""
     lam = as_partition(lam)
-    marked = set(highlight)
+    marked = set(_as_tuple(highlight, "highlight must be an iterable of cells"))
     return "\n".join(
         "".join("[#]" if (i, j) in marked else "[ ]" for j in range(1, part + 1))
         for i, part in enumerate(lam, start=1)
@@ -22,18 +22,19 @@ def peel_iterations(lam, p, star=False):
     star=False peels p-rims, star=True symmetrized p-rims (the latter
     needs a self-conjugate partition).
     """
-    if star:
-        return [_mirrored(_tail_cells(_parts(b), map(sub, b, out))) for b, out, _ in _peel(_self_conjugate_arg(lam, p), p, star=True)]
-    return [_tail_cells(_parts(b), map(sub, b, out)) for b, out, _ in _peel(_partition_arg(lam, p), p)]
+    return _layers(_self_conjugate_arg(lam, p) if star else _partition_arg(lam, p), p, star)
+
+
+def _layers(lam, p, star):
+    """peel_iterations on a trusted partition."""
+    layers = (_tail_cells(_parts(b), map(sub, b, out)) for b, out, _, _ in _peel(lam, p, star))
+    return list(map(_mirrored, layers) if star else layers)
 
 
 def render_peeled(lam, p, star=False):
     """Diagram with each cell labelled by the peeling step that removes it."""
-    lam = as_partition(lam)
-    label = {}
-    for k, layer in enumerate(peel_iterations(lam, p, star=star)):
-        for cell in layer:
-            label[cell] = k
+    lam = _self_conjugate_arg(lam, p) if star else _partition_arg(lam, p)
+    label = {cell: k for k, layer in enumerate(_layers(lam, p, star)) for cell in layer}
     width = max((len(str(v)) for v in label.values()), default=1)
     return "\n".join(
         "".join(f"[{label[i, j]:>{width}}]" for j in range(1, part + 1))

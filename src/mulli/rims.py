@@ -13,12 +13,14 @@ decrease exactly when the rows weakly decrease; partitions are converted
 once on the way in and once on the way out, and a step is one
 comparison per row.  Peeling: with t = b_1 - p, going down, row i keeps
 b_{i+1} when b_{i+1} > t, else it takes t and t becomes b_{i+1} - p; the
-last row keeps max(t, floor).  A p-rim has floor -l (l rows), and a row
-at -i is empty.  The symmetrized p-rim of a self-conjugate partition
-keeps the p-rim's cells on or above the diagonal and mirrors them; they
-lie in the Durfee rows (b_i >= 0), which determine the partition, so it
-is the same step on the Durfee rows with floor -1: the last one ends at
--1 exactly when a diagonal cell goes (eps_star = 1), and then leaves.
+last row keeps max(t, floor).  A p-rim has floor -l (l rows), a row at
+-i is empty, and the step's symbol column is a = cells taken, r = l.
+The symmetrized p-rim of a self-conjugate partition keeps the p-rim's
+cells on or above the diagonal and mirrors them; they lie in the Durfee
+rows (b_i >= 0), which determine the partition, so it is the same step
+on the Durfee rows with floor -1, and its column is r_star = cells
+taken, eps_star = [the last Durfee row ends at -1, a diagonal cell] and
+a_star = 2 r_star - eps_star.  _peel yields each step with its column.
 Growth mirrors peeling, bottom row first: with t = b_bottom + first,
 going up, a row keeps the b of the row above when that is below t, else
 it takes t and t becomes that b + p; row 1 takes t.  The kernels take
@@ -28,7 +30,7 @@ trusted input and check their invariants once per step with builtins.
 from dataclasses import dataclass
 from operator import gt, lt, sub
 
-from .partitions import _betas, _durfee, _partition_arg, _parts, _self_conjugate_arg, _symmetric, as_partition
+from .partitions import _arms, _betas, _partition_arg, _parts, _self_conjugate_arg, _unfold, as_partition
 
 
 def _tail_cells(rows, counts) -> tuple:
@@ -109,25 +111,19 @@ def rim(lam) -> tuple:
     lam = as_partition(lam)
     if not lam:
         raise ValueError("the empty partition has no rim")
-    return _tail_cells(lam, _rim_lengths(lam))
-
-
-def _rim_lengths(rows) -> list:
-    """Rim cells per row of a partition."""
-    return [part - end + 1 for part, end in zip(rows, rows[1:] + (1,))]
+    return _tail_cells(lam, [part - end + 1 for part, end in zip(lam, lam[1:] + (1,))])
 
 
 def _peel(lam, p, star=False):
-    """Yield (b, out, taken) for each peeling step of a trusted partition.
+    """Yield (b, out, a, r) per peeling step of a trusted partition: beta numbers before and after, and the column.
 
-    star=False peels p-rims: b holds the beta numbers of the partition
-    before the step and out those of its rows after it (empty rows at
-    -i included), so row i loses b_i - out_i cells, taken in all.
-    star=True peels symmetrized p-rims of a self-conjugate lam on its
-    Durfee rows, floor -1, and taken is r_star.  Asking for the next
-    step trims out in place (_left): read each step before that.
+    Row i loses b_i - out_i cells (out keeps the rows that leave, at the
+    floor).  star=False peels p-rims: a = cells taken, r = len(b).  star=True
+    peels symmetrized p-rims on the Durfee rows of a self-conjugate lam:
+    r = cells taken, eps_star = [out ends at -1], a = 2 r - eps_star.
+    Asking for the next step trims out in place (_left): read each step first.
     """
-    b = _betas(lam[: _durfee(lam)] if star else lam)
+    b = _arms(lam) if star else _betas(lam)
     while b:
         floor = -1 if star else -len(b)
         out = []
@@ -144,7 +140,8 @@ def _peel(lam, p, star=False):
                 t = x - p
         t = t if t > floor else floor
         append(t)
-        yield b, out, taken - t
+        taken -= t
+        yield (b, out, 2 * taken - (t == -1), taken) if star else (b, out, taken, len(b))
         b = _left(b, out, star)
 
 
@@ -165,7 +162,7 @@ def _left(b, out, star=False) -> list:
 
 
 def _first_step(lam, p, star=False) -> tuple:
-    """(b, out, taken) of _peel's first step on a trusted partition, so every rim is a symbol column."""
+    """(b, out, a, r) of _peel's first step on a trusted partition, so every rim is a symbol column."""
     if not lam:
         raise ValueError("the empty partition has no rim")
     return next(_peel(lam, p, star))
@@ -181,13 +178,13 @@ def p_rim(lam, p) -> PRim:
     Only the final run may be shorter than p.
     """
     lam = _partition_arg(lam, p)
-    b, out, _ = _first_step(lam, p)
+    b, out, _, _ = _first_step(lam, p)
     return PRim(lam, p, tuple(map(sub, b, out)))
 
 
 def remove_p_rim(lam, p) -> tuple:
     """Delete the p-rim; the result is a partition of |lam| - len(p_rim(lam, p))."""
-    b, out, _ = _first_step(_partition_arg(lam, p), p)
+    b, out, _, _ = _first_step(_partition_arg(lam, p), p)
     return _parts(_left(b, out))
 
 
@@ -200,15 +197,14 @@ def p_rim_star(lam, p) -> PRimStar:
     eps_star = 1 exactly when the rim* contains a diagonal cell.
     """
     lam = _self_conjugate_arg(lam, p)
-    b, out, r_star = _first_step(lam, p, star=True)
-    eps_star = 1 if out[-1] == -1 else 0
-    return PRimStar(lam, tuple(map(sub, b, out)), 2 * r_star - eps_star, r_star, eps_star)
+    b, out, a_star, r_star = _first_step(lam, p, star=True)
+    return PRimStar(lam, tuple(map(sub, b, out)), a_star, r_star, 2 * r_star - a_star)
 
 
 def remove_p_rim_star(lam, p) -> tuple:
     """Delete the symmetrized p-rim; the result is again self-conjugate."""
-    b, out, _ = _first_step(_self_conjugate_arg(lam, p), p, star=True)
-    return _symmetric(_parts(_left(b, out, star=True)))
+    b, out, _, _ = _first_step(_self_conjugate_arg(lam, p), p, star=True)
+    return _unfold(_left(b, out, star=True))
 
 
 def _grow(c, first, p) -> list:

@@ -16,7 +16,7 @@ as its trusted columns (a, r), from _columns to _reconstruct.
 from dataclasses import dataclass
 from operator import lt
 
-from .partitions import MAX_CELLS, _is_int, _parts, _regular_arg, check_odd_p
+from .partitions import MAX_CELLS, _as_tuple, _is_int, _parts, _regular_arg, check_odd_p
 from .rims import _grow, _peel, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
 
 
@@ -31,15 +31,8 @@ def _is_fixed(a, r, p) -> bool:
 
 
 def _columns(lam, p, star=False) -> tuple:
-    """Columns (a, r) of a trusted partition, one per peeling step; star=True gives the bg columns.
-
-    A starred step takes r_star cells, one on the diagonal (eps_star = 1)
-    exactly when its last Durfee row ends at -1; a_star = 2 r_star - eps_star.
-    """
-    if star:
-        columns = [(2 * taken - (out[-1] == -1), taken) for _, out, taken in _peel(lam, p, True)]
-    else:
-        columns = [(taken, len(b)) for b, _, taken in _peel(lam, p)]
+    """Columns (a, r) of a trusted partition, one per peeling step; star=True gives the bg columns."""
+    columns = [(a, r) for _, _, a, r in _peel(lam, p, star)]
     return tuple(zip(*columns)) if columns else ((), ())
 
 
@@ -60,8 +53,8 @@ class Symbol:
 
     def __post_init__(self):
         check_odd_p(self.p)
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "r", tuple(self.r))
+        object.__setattr__(self, "a", _as_tuple(self.a, "a symbol row must be an iterable of positive integers"))
+        object.__setattr__(self, "r", _as_tuple(self.r, "a symbol row must be an iterable of positive integers"))
         if len(self.a) != len(self.r):
             raise ValueError("symbol rows must have equal length")
         for x in self.a + self.r:
@@ -91,6 +84,8 @@ class Symbol:
 
     @classmethod
     def from_text(cls, text: str, p: int, kind: str = "mullineux") -> "Symbol":
+        if not isinstance(text, str):
+            raise ValueError(f"a symbol text must be a string, got {text!r}")
         top, sep, bottom = text.partition("/")
         if not sep:
             raise ValueError(f"symbol text needs a '/': {text!r}")
@@ -104,7 +99,9 @@ class Symbol:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Symbol":
-        return cls(d["p"], tuple(d["a"]), tuple(d["r"]), d.get("kind", "mullineux"))
+        if not isinstance(d, dict) or not d.keys() >= {"p", "a", "r"}:
+            raise ValueError(f"a symbol object needs the keys p, a and r, got {d!r}")
+        return cls(d["p"], d["a"], d["r"], d.get("kind", "mullineux"))
 
 
 def mullineux_symbol(lam, p) -> Symbol:
@@ -129,6 +126,8 @@ def validate_symbol(sym: Symbol) -> tuple[bool, str]:
     Returns (ok, diagnostic); the diagnostic names the first violated
     condition and is empty when the symbol is valid.
     """
+    if not isinstance(sym, Symbol):
+        raise ValueError(f"expected a Symbol, got {sym!r}")
     a, r, p = sym.a, sym.r, sym.p
     if not a:
         return True, ""
@@ -210,7 +209,7 @@ def is_self_mullineux(lam, p) -> bool:
 
 def _is_self_mullineux(lam, p) -> bool:
     """is_self_mullineux on a trusted p-regular partition; stops at the first failing column."""
-    for b, _, taken in _peel(lam, p):
-        if not _is_fixed(taken, len(b), p):
+    for _, _, a, r in _peel(lam, p):
+        if not _is_fixed(a, r, p):
             return False
     return True

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import mulli.bg
 import mulli.partitions
+import mulli.render
 import mulli.symbols
 from mulli import (
     add_rim_star_layer,
@@ -17,6 +18,7 @@ from mulli import (
     mullineux_symbol,
     p_rim_star,
     remove_p_rim_star,
+    render_peeled,
     self_conjugate_from_diagonal_hooks,
 )
 
@@ -152,7 +154,7 @@ def test_the_maps_validate_their_input_once(monkeypatch):
 
     for name in calls:
         real = getattr(mulli.symbols, name, None) or getattr(mulli.partitions, name)
-        for module in (mulli.partitions, mulli.symbols, mulli.bg):
+        for module in (mulli.partitions, mulli.symbols, mulli.bg, mulli.render):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, real))
     lam, mu = (9, 2, 1, 1, 1, 1, 1, 1, 1), (9, 4, 4, 1)
@@ -160,3 +162,11 @@ def test_the_maps_validate_their_input_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         go(arg, 3)
         assert calls == {"as_partition": 1, "check_odd_p": 1, "validate_symbol": 0}, go.__name__
+    for star, arg in ((False, (9, 6, 3, 1)), (True, lam)):
+        calls.update(dict.fromkeys(calls, 0))
+        render_peeled(arg, 3, star=star)
+        assert calls == {"as_partition": 1, "check_odd_p": 1, "validate_symbol": 0}, f"render_peeled, star={star}"
+    # the hooks are checked by their own rule; the rebuilt partition is checked by the private kernels
+    calls.update(dict.fromkeys(calls, 0))
+    assert self_conjugate_from_diagonal_hooks((17, 1)) == lam
+    assert calls == {"as_partition": 0, "check_odd_p": 0, "validate_symbol": 0}

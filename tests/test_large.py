@@ -6,13 +6,18 @@ from mulli import (
     Symbol,
     bg_symbol,
     bg_to_mull,
+    diagonal_hook_lengths,
     is_bg_partition,
     is_p_regular,
     mull_to_bg,
     mullineux_map,
     mullineux_symbol,
+    p_rim,
+    p_rim_star,
     peel_iterations,
     reconstruct,
+    remove_p_rim,
+    remove_p_rim_star,
     self_conjugate_from_diagonal_hooks,
     validate_symbol,
 )
@@ -209,11 +214,19 @@ def test_large_star_peel_steps_match_the_walked_rim(case):
 
 
 def test_every_small_partition_against_the_cell_walk():
-    """Symbols, peel layers, reconstruction and both bijection directions, for n <= 12 and p in {3, 5, 7, 9}."""
+    """Rims, symbols, peel layers, reconstruction and both bijection directions, for n <= 12 and p in {3, 5, 7, 9}."""
     for n in range(13):
         for lam in all_partitions(n):
             conj = tuple(sum(1 for part in lam if part >= j) for j in range(1, (lam[0] if lam else 0) + 1))
             for p in (3, 5, 7, 9):
+                if lam:
+                    first = walked_rim(lam, p)
+                    rim = p_rim(lam, p)
+                    assert rim.counts == tuple(sum(1 for i, _ in first if i == row) for row in range(len(lam)))
+                    assert len(rim) == len(first)
+                    rows = list(lam)
+                    take(rows, [(i + 1, col) for i, col in first])
+                    assert remove_p_rim(lam, p) == tuple(rows)
                 rows = list(lam)
                 for layer in peel_iterations(lam, p):
                     assert layer == tuple((i + 1, col) for i, col in walked_rim(rows, p))
@@ -233,6 +246,15 @@ def test_every_small_partition_against_the_cell_walk():
                     assert (s.a, s.r) == (a, r)
                     assert [set(layer) for layer in peel_iterations(lam, p, star=True)] == layers
                     hooks = [2 * (part - i) + 1 for i, part in enumerate(lam, start=1) if part >= i]
+                    assert self_conjugate_from_diagonal_hooks(diagonal_hook_lengths(lam)) == lam
+                    if lam:
+                        star = p_rim_star(lam, p)
+                        eps_star = int(any(i == j for i, j in layers[0]))
+                        assert (star.a_star, star.r_star, star.eps_star) == (a[0], r[0], eps_star)
+                        assert star.cells == tuple(sorted(layers[0]))
+                        rows = list(lam)
+                        take(rows, layers[0])
+                        assert remove_p_rim_star(lam, p) == tuple(rows)
                     if all(h % p for h in hooks):
                         partner = bg_to_mull(lam, p)
                         assert walked_symbol(partner, p) == (a, r)

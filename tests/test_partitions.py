@@ -21,8 +21,11 @@ from mulli import (
     p_rim,
     parse_partition,
     partitions_of,
+    reconstruct,
+    render_diagram,
     self_conjugate_from_diagonal_hooks,
     truncate_to_durfee,
+    validate_symbol,
 )
 
 
@@ -251,3 +254,44 @@ def test_a_partition_must_be_iterable(bad):
     for call in calls:
         with pytest.raises(ValueError, match=f"a partition must be an iterable of parts, got {bad!r}"):
             call(bad)
+
+
+# Calls whose argument is not even the right kind of value, and the ValueError each raises.
+WRONG_KINDS = {
+    "diagonal hooks": (lambda: self_conjugate_from_diagonal_hooks(5), "diagonal hooks must be an iterable of positive odd integers, got 5"),
+    "symbol row": (lambda: Symbol(3, 5, (1,)), "a symbol row must be an iterable of positive integers, got 5"),
+    "highlight": (lambda: render_diagram((2, 1), highlight=5), "highlight must be an iterable of cells, got 5"),
+    "symbol to validate": (lambda: validate_symbol((1, 2)), "expected a Symbol, got (1, 2)"),
+    "symbol to rebuild": (lambda: reconstruct("x"), "expected a Symbol, got 'x'"),
+    "partition text": (lambda: parse_partition(5), "a partition text must be a string, got 5"),
+    "symbol text": (lambda: Symbol.from_text(5, 3), "a symbol text must be a string, got 5"),
+    "symbol object": (lambda: Symbol.from_json_dict({"p": 3}), "a symbol object needs the keys p, a and r, got {'p': 3}"),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(WRONG_KINDS))
+def test_an_argument_of_the_wrong_kind_raises_value_error(argument):
+    call, message = WRONG_KINDS[argument]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_unfold_rejects_arms_that_miss_the_diagonal():
+    from mulli.partitions import _arms, _unfold
+
+    assert _unfold([2, 0]) == (3, 2, 1) and _arms((3, 2, 1)) == [2, 0]
+    assert _unfold([]) == ()
+    for arms in ([1, 1], [0, 1], [2, -1]):
+        with pytest.raises(RuntimeError) as err:
+            _unfold(arms)
+        assert "are not the Durfee rows of a self-conjugate partition" in str(err.value)
+
+
+def test_the_hook_postcondition_raises_without_asserts(monkeypatch):
+    import mulli.partitions
+
+    monkeypatch.setattr(mulli.partitions, "_unfold", lambda arms: (3, 1, 1))
+    with pytest.raises(RuntimeError) as err:
+        self_conjugate_from_diagonal_hooks((3, 1))
+    assert str(err.value) == "the diagonal hooks (3, 1) rebuilt (3, 1, 1), which does not have them"
