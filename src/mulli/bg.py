@@ -102,9 +102,7 @@ def mull_to_bg(lam, p) -> tuple:
     for i in range(len(a)):
         if not _is_fixed(a[i], r[i], p):
             raise ValueError(f"{lam} is not self-Mullineux for p={p} (column {i})")
-    if not a:
-        return ()
-    if _eps(a[-1], p) != 1:
+    if a and _eps(a[-1], p) != 1:
         raise RuntimeError(f"last column of {Symbol(p, a, r).to_text()} has eps = 0; impossible for a fixed point")
     # intermediates are the beta numbers of their Durfee rows, bottom row first
     c, size = [], 0

@@ -11,10 +11,11 @@ counts.
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bg import bg_to_mull
-from .partitions import _conjugate, _is_bg, _is_int, _is_p_regular, as_partition, check_odd_p, diagonal_hook_lengths, format_partition, is_p_regular
+from .partitions import _conjugate, _is_bg, _is_int, _is_p_regular, _size_arg, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
+from .partitions import is_p_regular
 from .symbols import _is_self_mullineux
 
 
@@ -23,8 +24,7 @@ def partitions_of(n, largest=None):
 
     largest caps the first part.  partitions_of(0) yields only ().
     """
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"expected a size >= 0, got {n!r}")
+    _size_arg(n)
     if largest is not None and (not _is_int(largest) or largest < 0):
         raise ValueError(f"expected a largest part >= 0, got {largest!r}")
     if n == 0:
@@ -66,6 +66,11 @@ def _has_distinct_odd_parts(lam, p=None) -> bool:
     return p is None or all(part % p for part in lam)
 
 
+def _listed(x):
+    """x with every tuple in it, at any depth, turned into a list."""
+    return [_listed(y) for y in x] if isinstance(x, tuple) else x
+
+
 @dataclass(frozen=True)
 class CensusReport:
     p: int
@@ -79,17 +84,7 @@ class CensusReport:
     pairs: tuple  # (bg partition, self-Mullineux partner), bg side decreasing lex
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "n": self.n,
-            "all_count": self.all_count,
-            "p_regular_count": self.p_regular_count,
-            "self_conjugate": [list(lam) for lam in self.self_conjugate],
-            "bg": [list(lam) for lam in self.bg],
-            "self_mullineux": [list(lam) for lam in self.self_mullineux],
-            "distinct_odd_nondiv": [list(lam) for lam in self.distinct_odd_nondiv],
-            "pairs": [[list(b), list(m)] for b, m in self.pairs],
-        }
+        return {f.name: _listed(getattr(self, f.name)) for f in fields(self)}
 
     def to_csv(self):
         """One row per partition that appears in any listed family.
@@ -184,8 +179,7 @@ def bg_counts_from_gf(p, n_max):
     of n into distinct odd parts none divisible by p).
     """
     check_odd_p(p)
-    if not _is_int(n_max) or n_max < 0:
-        raise ValueError(f"expected a size >= 0, got {n_max!r}")
+    _size_arg(n_max)
     coeffs = [1] + [0] * n_max
     for q in range(1, n_max + 1, 2):
         if q % p == 0:

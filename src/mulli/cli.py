@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .bg import bg_symbol, bg_to_mull, mull_to_bg
 from .census import bg_counts_from_gf, census
@@ -81,7 +82,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text, partition=False, n=False, direction=False, star=False, csv=False):
+    def add(name, help_text, partition=False, n=False, csv=False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("-p", type=int, required=True, metavar="P", help="odd modulus >= 3")
         formats = ("text", "json", "csv") if csv else ("text", "json")
@@ -92,20 +93,18 @@ def _build_parser():
             cmd.add_argument("partition", help="comma form, exponents allowed: 7,5,2^3,1^2 ('-' for the empty partition)")
         if n:
             cmd.add_argument("-n", type=int, required=True, metavar="N", help="size bound")
-        if direction:
-            cmd.add_argument("--direction", choices=("bg2m", "m2bg"), required=True)
-        if star:
-            cmd.add_argument("--star", action="store_true", help="peel symmetrized rims (self-conjugate input)")
         return cmd
 
     add("symbol", "Mullineux symbol of a p-regular partition", partition=True)
     add("bg-symbol", "bg symbol of a self-conjugate partition", partition=True)
     add("map", "image under the Mullineux map", partition=True)
-    add("bijection", "BG <-> self-Mullineux partner", partition=True, direction=True)
+    add("bijection", "BG <-> self-Mullineux partner", partition=True).add_argument("--direction", choices=("bg2m", "m2bg"), required=True)
     add("census", "families and pairing at one size", n=True, csv=True)
     add("gf", "generating function coefficients up to n", n=True)
     add("verify", "run every invariant check up to size n", n=True)
-    add("render", "diagram with cells labelled by peeling step", partition=True, star=True)
+    add("render", "diagram with cells labelled by peeling step", partition=True).add_argument(
+        "--star", action="store_true", help="peel symmetrized rims (self-conjugate input)"
+    )
     return parser
 
 
@@ -120,22 +119,15 @@ def _run(args):
         print(f"warning: p={args.p} {verdict}; theorems are proved for prime p", file=sys.stderr)
     as_json = args.format == "json"
 
-    if args.subcommand == "symbol":
-        sym = mullineux_symbol(parse_partition(args.partition), args.p)
+    if args.subcommand in ("symbol", "bg-symbol"):
+        symbol_of = mullineux_symbol if args.subcommand == "symbol" else bg_symbol
+        sym = symbol_of(parse_partition(args.partition), args.p)
         return (json.dumps(sym.to_json_dict()) if as_json else sym.to_text()), 0
 
-    if args.subcommand == "bg-symbol":
-        sym = bg_symbol(parse_partition(args.partition), args.p)
-        return (json.dumps(sym.to_json_dict()) if as_json else sym.to_text()), 0
-
-    if args.subcommand == "map":
-        image = mullineux_map(parse_partition(args.partition), args.p)
-        return (json.dumps(list(image)) if as_json else format_partition(image)), 0
-
-    if args.subcommand == "bijection":
-        go = bg_to_mull if args.direction == "bg2m" else mull_to_bg
+    if args.subcommand in ("map", "bijection"):
+        go = mullineux_map if args.subcommand == "map" else bg_to_mull if args.direction == "bg2m" else mull_to_bg
         image = go(parse_partition(args.partition), args.p)
-        return (json.dumps(list(image)) if as_json else format_partition(image)), 0
+        return (json.dumps(image) if as_json else format_partition(image)), 0
 
     if args.subcommand == "census":
         report = census(args.p, _check_n(args.n))
@@ -145,24 +137,19 @@ def _run(args):
 
     if args.subcommand == "gf":
         coeffs = bg_counts_from_gf(args.p, _check_n(args.n))
-        if as_json:
-            return json.dumps(coeffs), 0
-        return "\n".join(f"{n} {c}" for n, c in enumerate(coeffs)), 0
+        return (json.dumps(coeffs) if as_json else "\n".join(f"{n} {c}" for n, c in enumerate(coeffs))), 0
 
     if args.subcommand == "verify":
         results = run_checks(args.p, _check_n(args.n))
         code = 0 if all(r.ok for r in results) else 3
         if as_json:
-            fields = [{"name": r.name, "ok": r.ok, "detail": r.detail, "cases": r.cases, "seconds": r.seconds} for r in results]
-            return json.dumps(fields), code
-        lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
-        return "\n".join(lines), code
+            return json.dumps([asdict(r) for r in results]), code
+        return "\n".join(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results), code
 
     if args.subcommand == "render":
         lam = parse_partition(args.partition)
         if as_json:
-            layers = peel_iterations(lam, args.p, star=args.star)
-            return json.dumps([[list(cell) for cell in sorted(layer)] for layer in layers]), 0
+            return json.dumps([sorted(layer) for layer in peel_iterations(lam, args.p, star=args.star)]), 0
         return render_peeled(lam, args.p, star=args.star), 0
 
     raise AssertionError(f"unhandled subcommand {args.subcommand}")

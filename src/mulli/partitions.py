@@ -66,6 +66,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _size_arg(n) -> int:
+    """The one size rule of the public API: an int from 0 to MAX_CELLS, since a size counts cells."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"expected a size >= 0, got {n!r}")
+    if n > MAX_CELLS:
+        raise ValueError(f"size {n} exceeds the size cap {MAX_CELLS}")
+    return n
+
+
 def _as_tuple(items, what) -> tuple:
     """The one sequence rule of the public API: tuple(items), or ValueError(f"{what}, got {items!r}")."""
     try:
@@ -191,11 +200,21 @@ def _has_hook_divisible(arms, p) -> bool:
 def hook_length(lam, row: int, col: int) -> int:
     """Cells of the hook based at (row, col): arm, leg, and the cell itself."""
     lam = as_partition(lam)
-    if not (_is_int(row) and _is_int(col) and 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
-        raise ValueError(f"cell ({row!r},{col!r}) lies outside the diagram of {lam}")
+    _cell_arg(lam, (row, col))
     arm = lam[row - 1] - col
     leg = sum(map(col.__le__, lam[row:]))
     return arm + leg + 1
+
+
+def _cell_arg(lam, cell) -> tuple:
+    """The validated cell of a trusted partition: a (row, col) pair, tuple or list, of two ints inside its diagram."""
+    try:
+        row, col = cell
+    except (TypeError, ValueError):
+        raise ValueError(f"a cell must be a (row, col) pair, got {cell!r}") from None
+    if not (_is_int(row) and _is_int(col) and 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
+        raise ValueError(f"cell ({row!r},{col!r}) lies outside the diagram of {lam}")
+    return row, col
 
 
 def diagonal_hook_lengths(lam) -> tuple[int, ...]:

@@ -2,14 +2,14 @@
 
 from operator import sub
 
-from .partitions import _as_tuple, _partition_arg, _parts, _self_conjugate_arg, as_partition
+from .partitions import _as_tuple, _cell_arg, _partition_arg, _parts, _self_conjugate_arg, as_partition
 from .rims import _mirrored, _peel, _tail_cells
 
 
 def render_diagram(lam, highlight=()):
-    """Rows of [ ] cells; cells in highlight render as [#]."""
+    """Rows of [ ] cells; the cells in highlight, (row, col) pairs inside the diagram, render as [#]."""
     lam = as_partition(lam)
-    marked = set(_as_tuple(highlight, "highlight must be an iterable of cells"))
+    marked = {_cell_arg(lam, cell) for cell in _as_tuple(highlight, "highlight must be an iterable of cells")}
     return "\n".join(
         "".join("[#]" if (i, j) in marked else "[ ]" for j in range(1, part + 1))
         for i, part in enumerate(lam, start=1)

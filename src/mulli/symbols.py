@@ -80,7 +80,7 @@ class Symbol:
         """The matrix form, e.g. '9 5 5 / 4 2 2' ('/' alone when empty)."""
         top = " ".join(str(x) for x in self.a)
         bottom = " ".join(str(x) for x in self.r)
-        return f"{top} / {bottom}".strip() if self.a else "/"
+        return f"{top} / {bottom}".strip()
 
     @classmethod
     def from_text(cls, text: str, p: int, kind: str = "mullineux") -> "Symbol":
@@ -165,7 +165,7 @@ def reconstruct(sym: Symbol) -> tuple:
 
 
 def _reconstruct(a, r, p) -> tuple:
-    """reconstruct on trusted columns: from the hook (a_l - r_l + 1, 1^(r_l - 1)), re-add rims right to left.
+    """reconstruct on trusted columns: from the empty partition, one rim per column, right to left.
 
     The rim of column i starts at the first vacant column of row r_i;
     its bottom group holds a_i mod p cells (a full p when the remainder
@@ -173,13 +173,10 @@ def _reconstruct(a, r, p) -> tuple:
     directly above the last one if that spot is vacant, else to its
     right, and between groups the walk jumps one row up to the first
     vacant column.  The last cell must land in row 1 as the a_i-th.
-    Rows are beta numbers, bottom row first: new empty rows prepend -r_i .. -l - 1.
+    Rows are beta numbers, bottom row first: new empty rows prepend -r_i .. -len(c) - 1.
     """
-    if not a:
-        return ()
-    c = [*range(1 - r[-1], 0), a[-1] - r[-1]]
-    size = a[-1]
-    for i in range(len(a) - 2, -1, -1):
+    c, size = [], 0
+    for i in range(len(a) - 1, -1, -1):
         rows = r[i]
         if rows > len(c):
             c = [*range(-rows, -len(c)), *c]
@@ -191,7 +188,7 @@ def _reconstruct(a, r, p) -> tuple:
         if placed != a[i]:
             raise RuntimeError(f"rim growth reached row 1 with {placed} of {a[i]} cells placed")
         size += placed
-    if c[0] < 1 - len(c) or not all(map(lt, c, c[1:])):
+    if c and (c[0] < 1 - len(c) or not all(map(lt, c, c[1:]))):
         raise RuntimeError(f"growth broke row monotonicity: {list(_parts(reversed(c)))}")
     return _parts(reversed(c))
 

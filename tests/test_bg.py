@@ -110,6 +110,14 @@ def test_mull_to_bg_golden():
     assert mull_to_bg((), 3) == ()
 
 
+def test_mull_to_bg_guards_the_last_column(monkeypatch):
+    # a fixed point's last column has eps = 1; (6; 3) is fixed at p = 3 but has eps = 0
+    monkeypatch.setattr(mulli.bg, "_columns", lambda lam, p, star=False: ((6,), (3,)))
+    with pytest.raises(RuntimeError) as err:
+        mull_to_bg((3, 2, 1), 3)
+    assert str(err.value) == "last column of 6 / 3 has eps = 0; impossible for a fixed point"
+
+
 def test_mull_to_bg_partner_symbol():
     # the partner keeps the symbol, reinterpreted
     assert mullineux_symbol((7, 6, 3, 2, 2), 5).columns() == ((10, 5), (7, 4), (3, 2))

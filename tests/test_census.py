@@ -1,12 +1,15 @@
 """Enumeration, family filters, and the counting identities."""
 
+import dataclasses
 import functools
+import importlib
 import itertools
 import json
 
 import pytest
 
-from mulli import bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of
+from mulli import MAX_CELLS, CensusReport, bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of, run_checks
+from mulli.verify import CHECKS
 from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux
 
 
@@ -139,6 +142,44 @@ def test_census_json_round_trips():
     back = json.loads(blob)
     assert back["all_count"] == 42
     assert [tuple(x) for x in back["bg"]] == list(report.bg)
+    for report in (report, census(3, 18)):
+        d = report.to_json_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(CensusReport)]
+        for name in ("self_conjugate", "bg", "self_mullineux", "distinct_odd_nondiv"):
+            assert type(d[name]) is list and all(type(lam) is list for lam in d[name]), name
+        assert d["pairs"] == [[list(b), list(m)] for b, m in report.pairs]
+        assert all(type(pair) is list and all(type(lam) is list for lam in pair) for pair in d["pairs"])
+    assert d["pairs"] and d["bg"]
+
+
+@pytest.mark.parametrize("n", [MAX_CELLS + 1, 2**63, 10**30])
+def test_sizes_are_capped_before_any_work(n):
+    message = f"size {n} exceeds the size cap {MAX_CELLS}"
+    for call in (
+        lambda: next(partitions_of(n)),
+        lambda: census(3, n),
+        lambda: bg_counts_from_gf(3, n),
+        lambda: run_checks(3, n),
+        lambda: CHECKS[0](3, n),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match=r"expected a size >= 0, got -1"):
+        next(partitions_of(-1))
+
+
+def test_census_invariants_raise(monkeypatch):
+    module = importlib.import_module("mulli.census")  # the package's `census` attribute is the function
+    monkeypatch.setattr(module, "diagonal_hook_lengths", lambda lam: (3,))
+    with pytest.raises(RuntimeError) as err:
+        census(5, 1)
+    assert str(err.value) == "diagonal-hook correspondence broke at p=5, n=1"
+    monkeypatch.undo()
+    monkeypatch.setattr(module, "bg_to_mull", lambda lam, p: (2,))
+    with pytest.raises(RuntimeError) as err:
+        census(5, 1)
+    assert str(err.value) == "BG pairing does not cover the self-Mullineux family at p=5, n=1"
 
 
 def _recursive_partitions(n, largest):

@@ -151,6 +151,23 @@ def test_enumeration_cap():
     assert run_cli("gf", "-p", "3", "-n", "31", env_extra={"MULLI_MAX_N": "40"}).returncode == 0
     assert run_cli("gf", "-p", "3", "-n", "11", env_extra={"MULLI_MAX_N": "10"}).returncode == 1
     assert run_cli("gf", "-p", "3", "-n", "11", env_extra={"MULLI_MAX_N": "junk"}).returncode == 1
+    # the library's own size cap holds under any MULLI_MAX_N
+    out = run_cli("gf", "-p", "3", "-n", str(10**25), env_extra={"MULLI_MAX_N": str(10**30)})
+    assert out.returncode == 1
+    assert out.stderr == "error: size 10000000000000000000000000 exceeds the size cap 1000000\n"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S skips the site hooks, which may import third-party modules before any user code;
+    # -B keeps the run from writing bytecode next to the sources
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mulli.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - set(sys.stdlib_module_names) - {'mulli', '__main__'}))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_out_writes_file(tmp_path):

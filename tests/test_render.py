@@ -1,5 +1,7 @@
 """ASCII rendering goldens (hand-drawn)."""
 
+import pytest
+
 from mulli import p_rim, peel_iterations, render_diagram, render_peeled
 
 
@@ -7,6 +9,28 @@ def test_render_diagram():
     assert render_diagram((3, 2)) == "[ ][ ][ ]\n[ ][ ]"
     assert render_diagram(()) == ""
     assert render_diagram((2, 1), highlight={(1, 2), (2, 1)}) == "[ ][#]\n[#]"
+    # cells print as lists under `mulli render --format json`, and read back
+    assert render_diagram((2, 1), highlight=[[1, 1]]) == "[#][ ]\n[ ]"
+
+
+@pytest.mark.parametrize(
+    "highlight, message",
+    [
+        ([(1.0, 1)], "cell (1.0,1) lies outside the diagram of (2, 1)"),
+        ([(True, 1)], "cell (True,1) lies outside the diagram of (2, 1)"),
+        ([(0, 0)], "cell (0,0) lies outside the diagram of (2, 1)"),
+        ([(2, 2)], "cell (2,2) lies outside the diagram of (2, 1)"),
+        ([(1, 1), [3, 1]], "cell (3,1) lies outside the diagram of (2, 1)"),
+        ([5], "a cell must be a (row, col) pair, got 5"),
+        ([(1,)], "a cell must be a (row, col) pair, got (1,)"),
+        ([(1, 1, 1)], "a cell must be a (row, col) pair, got (1, 1, 1)"),
+        (5, "highlight must be an iterable of cells, got 5"),
+    ],
+)
+def test_render_diagram_checks_each_highlight_cell(highlight, message):
+    with pytest.raises(ValueError) as err:
+        render_diagram((2, 1), highlight=highlight)
+    assert str(err.value) == message
 
 
 def test_peel_iterations_first_layer_is_the_p_rim():

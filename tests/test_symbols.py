@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import mulli.symbols
 from mulli import (
     Symbol,
     conjugate,
@@ -81,6 +82,11 @@ def test_validate_symbol():
     ok, why = validate_symbol(Symbol(3, (7,), (2,)))
     assert not ok and "condition (4)" in why
     assert validate_symbol(Symbol(3, (), ())) == (True, "")
+    assert validate_symbol(Symbol(3, (4, 1), (1, 1))) == (False, "condition (1) fails at column 0: r_0-r_1 = 0, allowed [1, 4)")
+    assert validate_symbol(Symbol(3, (2, 1), (2, 1))) == (False, "condition (3) fails at column 0: a_0-a_1 = 1, allowed [2, 5)")
+    with pytest.raises(ValueError) as err:
+        Symbol.from_text("1 2", 3)
+    assert str(err.value) == "symbol text needs a '/': '1 2'"
 
 
 def test_reconstruct_golden():
@@ -88,6 +94,41 @@ def test_reconstruct_golden():
     assert reconstruct(Symbol(5, (9, 5, 5), (6, 3, 3))) == (5, 5, 5, 2, 1, 1)
     assert reconstruct(Symbol(3, (4,), (2,))) == (3, 1)
     assert reconstruct(Symbol(3, (), ())) == ()
+
+
+def test_one_column_symbols_rebuild_to_hooks():
+    # the last column grows on r empty rows, like every other column
+    count = 0
+    for p in (3, 5, 7, 9, 15):
+        for a, r in itertools.product(range(1, 3 * p), range(1, 2 * p)):
+            sym = Symbol(p, (a,), (r,))
+            if validate_symbol(sym)[0]:
+                count += 1
+                assert reconstruct(sym) == (a - r + 1,) + (1,) * (r - 1), sym
+    assert count == 384
+
+
+@pytest.mark.parametrize(
+    "a, r, message",
+    [
+        ((1, 3), (1, 2), "growth of column 0 produced the wrong row count"),
+        ((2, 1), (1, 2), "rim growth reached row 1 with 4 of 1 cells placed"),
+        ((1,), (5,), "rim growth reached row 1 with 7 of 1 cells placed"),
+    ],
+)
+def test_reconstruct_reports_bogus_trusted_columns(a, r, message):
+    with pytest.raises(RuntimeError) as err:
+        mulli.symbols._reconstruct(a, r, 3)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("grown, message", [([2, 1], "growth broke row monotonicity: [2, 4]"), ([-3, 3], "growth broke row monotonicity: [4, -1]")])
+def test_reconstruct_checks_the_rows_it_grew(monkeypatch, grown, message):
+    # no column makes the real growth step break the rows, so a bogus one stands in; it places the 6 or 3 cells asked for
+    monkeypatch.setattr(mulli.symbols, "_grow", lambda c, first, p: list(grown))
+    with pytest.raises(RuntimeError) as err:
+        mulli.symbols._reconstruct((sum(grown) + 3,), (2,), 3)
+    assert str(err.value) == message
 
 
 def test_reconstruct_rejects_invalid():
