@@ -56,20 +56,13 @@ def _is_prime(p):
     return True
 
 
-def _enumeration_cap():
-    raw = os.environ.get("MULLI_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
+def _check_n(n):
+    """n under the CLI's enumeration cap, MULLI_MAX_N (default 30); the library checks the rest."""
+    raw = os.environ.get("MULLI_MAX_N", DEFAULT_MAX_N)
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"MULLI_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _check_n(n):
-    cap = _enumeration_cap()
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap} (set MULLI_MAX_N to raise it)")
     return n

@@ -66,12 +66,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _size_arg(n) -> int:
-    """The one size rule of the public API: an int from 0 to MAX_CELLS, since a size counts cells."""
+def _size_arg(n, cap=MAX_CELLS, name=None) -> int:
+    """The one size rule of the public API: an int from 0 to MAX_CELLS, since a size counts cells.
+
+    A function whose work grows fast with n also passes its own cap and name.
+    """
     if not _is_int(n) or n < 0:
         raise ValueError(f"expected a size >= 0, got {n!r}")
     if n > MAX_CELLS:
         raise ValueError(f"size {n} exceeds the size cap {MAX_CELLS}")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the {name} cap {cap}")
     return n
 
 

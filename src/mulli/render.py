@@ -10,10 +10,12 @@ def render_diagram(lam, highlight=()):
     """Rows of [ ] cells; the cells in highlight, (row, col) pairs inside the diagram, render as [#]."""
     lam = as_partition(lam)
     marked = {_cell_arg(lam, cell) for cell in _as_tuple(highlight, "highlight must be an iterable of cells")}
-    return "\n".join(
-        "".join("[#]" if (i, j) in marked else "[ ]" for j in range(1, part + 1))
-        for i, part in enumerate(lam, start=1)
-    )
+    return _grid(lam, lambda i, j: "#" if (i, j) in marked else " ")
+
+
+def _grid(lam, text):
+    """The diagram of a trusted partition, row by row, with cell (i, j) drawn as [text(i, j)]."""
+    return "\n".join("".join(f"[{text(i, j)}]" for j in range(1, part + 1)) for i, part in enumerate(lam, start=1))
 
 
 def peel_iterations(lam, p, star=False):
@@ -36,7 +38,4 @@ def render_peeled(lam, p, star=False):
     lam = _self_conjugate_arg(lam, p) if star else _partition_arg(lam, p)
     label = {cell: k for k, layer in enumerate(_layers(lam, p, star)) for cell in layer}
     width = max((len(str(v)) for v in label.values()), default=1)
-    return "\n".join(
-        "".join(f"[{label[i, j]:>{width}}]" for j in range(1, part + 1))
-        for i, part in enumerate(lam, start=1)
-    )
+    return _grid(lam, lambda i, j: f"{label[i, j]:>{width}}")

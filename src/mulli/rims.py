@@ -28,6 +28,7 @@ trusted input and check their invariants once per step with builtins.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import gt, lt, sub
 
 from .partitions import _arms, _betas, _partition_arg, _parts, _self_conjugate_arg, _unfold, as_partition
@@ -56,9 +57,9 @@ class PRim:
     def __len__(self):
         return sum(self.counts)
 
-    @property
+    @cached_property
     def cells(self) -> tuple:
-        """The cells in walk order: rows top down, each read right to left."""
+        """The cells in walk order: rows top down, each read right to left; listed once per object."""
         return _tail_cells(self.lam, self.counts)
 
     @property
@@ -68,8 +69,7 @@ class PRim:
 
     @property
     def segments(self) -> tuple:
-        cells = self.cells
-        return tuple(cells[start : start + self.p] for start in self.segment_starts)
+        return tuple(self.cells[start : start + self.p] for start in self.segment_starts)
 
 
 @dataclass(frozen=True)

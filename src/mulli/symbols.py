@@ -89,7 +89,8 @@ class Symbol:
         top, sep, bottom = text.partition("/")
         if not sep:
             raise ValueError(f"symbol text needs a '/': {text!r}")
-        return cls(p, tuple(int(x) for x in top.split()), tuple(int(x) for x in bottom.split()), kind)
+        a, r = (tuple(_entry(x, text) for x in row.split()) for row in (top, bottom))
+        return cls(p, a, r, kind)
 
     def to_json_dict(self) -> dict:
         d = {"p": self.p, "a": list(self.a), "r": list(self.r)}
@@ -102,6 +103,14 @@ class Symbol:
         if not isinstance(d, dict) or not d.keys() >= {"p", "a", "r"}:
             raise ValueError(f"a symbol object needs the keys p, a and r, got {d!r}")
         return cls(d["p"], d["a"], d["r"], d.get("kind", "mullineux"))
+
+
+def _entry(x, text) -> int:
+    """One entry of a symbol text, as int() reads it."""
+    try:
+        return int(x)
+    except ValueError:
+        raise ValueError(f"cannot parse symbol entry {x!r} in {text!r}") from None
 
 
 def mullineux_symbol(lam, p) -> Symbol:

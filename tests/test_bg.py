@@ -118,6 +118,13 @@ def test_mull_to_bg_guards_the_last_column(monkeypatch):
     assert str(err.value) == "last column of 6 / 3 has eps = 0; impossible for a fixed point"
 
 
+def test_mull_to_bg_checks_every_intermediate(monkeypatch):
+    monkeypatch.setattr(mulli.bg, "_has_hook_divisible", lambda arms, p: True)
+    with pytest.raises(RuntimeError) as err:
+        mull_to_bg((7, 6, 3, 2, 2), 5)
+    assert str(err.value) == "intermediate (2, 1) is not a BG-partition for p=5"
+
+
 def test_mull_to_bg_partner_symbol():
     # the partner keeps the symbol, reinterpreted
     assert mullineux_symbol((7, 6, 3, 2, 2), 5).columns() == ((10, 5), (7, 4), (3, 2))

@@ -5,6 +5,7 @@ import functools
 import importlib
 import itertools
 import json
+import time
 
 import pytest
 
@@ -167,6 +168,24 @@ def test_sizes_are_capped_before_any_work(n):
         assert str(err.value) == message
     with pytest.raises(ValueError, match=r"expected a size >= 0, got -1"):
         next(partitions_of(-1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: census(3, 61), "n=61 exceeds the census cap 60"),
+        (lambda: bg_counts_from_gf(999, 20001), "n=20001 exceeds the bg_counts_from_gf cap 20000"),
+        (lambda: run_checks(3, 31), "n=31 exceeds the run_checks cap 30"),
+        *[(functools.partial(check, 3, 31), "n=31 exceeds the run_checks cap 30") for check in CHECKS],
+    ],
+)
+def test_costly_calls_are_capped_before_any_work(call, message):
+    # each cap is where one call takes about 10 s; one past it is refused at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        call()
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == message
 
 
 def test_census_invariants_raise(monkeypatch):

@@ -155,6 +155,14 @@ def test_enumeration_cap():
     out = run_cli("gf", "-p", "3", "-n", str(10**25), env_extra={"MULLI_MAX_N": str(10**30)})
     assert out.returncode == 1
     assert out.stderr == "error: size 10000000000000000000000000 exceeds the size cap 1000000\n"
+    # nor can it raise a library call's own cap on n
+    out = run_cli("census", "-p", "3", "-n", "61", env_extra={"MULLI_MAX_N": "100"})
+    assert out.returncode == 1
+    assert out.stderr == "error: n=61 exceeds the census cap 60\n"
+    # negative sizes are the library's to reject
+    out = run_cli("gf", "-p", "3", "-n", "-1")
+    assert out.returncode == 1
+    assert out.stderr == "error: expected a size >= 0, got -1\n"
 
 
 def test_runtime_imports_only_the_standard_library():

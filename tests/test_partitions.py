@@ -157,6 +157,12 @@ def test_self_conjugate_from_diagonal_hooks_rejects(bad):
         self_conjugate_from_diagonal_hooks(bad)
 
 
+def test_self_conjugate_from_diagonal_hooks_caps_the_size():
+    with pytest.raises(ValueError) as err:
+        self_conjugate_from_diagonal_hooks([1999999, 1])
+    assert str(err.value) == f"partition of 2000000 exceeds the size cap {MAX_CELLS}"
+
+
 @given(odd_hook_tuples)
 def test_diagonal_hooks_round_trip(hooks):
     lam = self_conjugate_from_diagonal_hooks(hooks)

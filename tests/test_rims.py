@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import mulli.rims
 from mulli import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim, self_conjugate_from_diagonal_hooks
 
 
@@ -26,6 +27,10 @@ def test_rim_golden():
 def test_rim_rejects_empty():
     with pytest.raises(ValueError):
         rim(())
+    for peel in (p_rim, remove_p_rim, p_rim_star, remove_p_rim_star):
+        with pytest.raises(ValueError) as err:
+            peel((), 3)
+        assert str(err.value) == "the empty partition has no rim", peel.__name__
 
 
 @given(partitions)
@@ -66,6 +71,19 @@ def test_p_rim_segments():
     assert pr.segments[0] == ((1, 9), (1, 8), (1, 7))
     pr5 = p_rim((9, 6, 3, 1), 5)
     assert [len(seg) for seg in pr5.segments] == [5, 4]
+
+
+def test_p_rim_lists_its_cells_once(monkeypatch):
+    calls = []
+    real = mulli.rims._tail_cells
+    monkeypatch.setattr(mulli.rims, "_tail_cells", lambda *args: calls.append(args) or real(*args))
+    pr = p_rim((9, 6, 3, 1), 3)
+    for _ in range(2):
+        assert sum(pr.segments, ()) == pr.cells
+    assert len(calls) == 1
+    # the listed cells are no field: equality, hash and repr are the dataclass's own
+    fresh = p_rim((9, 6, 3, 1), 3)
+    assert pr == fresh and hash(pr) == hash(fresh) and repr(pr) == repr(fresh) == "PRim(lam=(9, 6, 3, 1), p=3, counts=(3, 3, 3, 1))"
 
 
 def test_remove_p_rim_golden():

@@ -63,6 +63,10 @@ def test_symbol_text_forms():
     assert Symbol.from_text(sym.to_text(), 5) == sym
     assert Symbol(3, (), ()).to_text() == "/"
     assert Symbol.from_text("/", 3) == Symbol(3, (), ())
+    for text, entry in [("a / b", "a"), ("1 x / 2", "x"), ("1.5 / 1", "1.5"), ("1 / 2 / 3", "/")]:
+        with pytest.raises(ValueError) as err:
+            Symbol.from_text(text, 3)
+        assert str(err.value) == f"cannot parse symbol entry {entry!r} in {text!r}"
 
 
 def test_symbol_json_forms():

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from mulli import cli, run_checks, verify
-from mulli.verify import CHECKS, check_rim_star_parity, check_small_size_conjugation
+from mulli.rims import PRim, p_rim, rim
+from mulli.verify import CHECKS, check_p_rim_structure, check_rim_star_parity, check_small_size_conjugation
 
 
 def test_all_checks_pass_small():
@@ -79,6 +80,26 @@ def test_a_failing_law_reports_its_witness(monkeypatch):
     failing = next(r for r in bad if not r.ok)
     assert failing.detail == "lam=(3, 2, 1), cell=(1,2)"
     assert [(r.name, r.cases) for r in bad if r.ok] == [(r.name, r.cases) for r in good if r.name != "hook-transpose"]
+
+
+def _p_rim_with_counts(target, counts):
+    return lambda lam, p: PRim(lam, p, counts) if lam == target else p_rim(lam, p)
+
+
+@pytest.mark.parametrize(
+    "name, broken, detail",
+    [
+        ("rim", lambda lam: rim(lam)[::-1], "lam=(2,): first segment strays from the rim path"),
+        ("p_rim", lambda lam, p: dataclasses.replace(p_rim(lam, p), p=p + 2), "lam=(3, 1): bad segment sizes [4]"),
+        ("p_rim", _p_rim_with_counts((3, 1, 1), (3, 0, 1)), "lam=(3, 1, 1): segments do not step down one row"),
+        ("p_rim", _p_rim_with_counts((3, 1, 1), (3, 1, 0)), "lam=(3, 1, 1): p-rim leaves the rim or misses the last row"),
+        ("remove_p_rim", lambda lam, p: lam, "lam=(1,): removal size mismatch"),
+    ],
+)
+def test_each_p_rim_condition_reports_its_witness(monkeypatch, name, broken, detail):
+    monkeypatch.setattr(verify, name, broken)
+    result = check_p_rim_structure(3, 6)
+    assert (result.ok, result.detail) == (False, detail)
 
 
 def test_a_failing_law_exits_3(monkeypatch, capsys):
