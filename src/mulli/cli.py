@@ -10,7 +10,6 @@ print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -20,8 +19,6 @@ from .partitions import check_odd_p, format_partition, parse_partition
 from .render import peel_iterations, render_peeled
 from .symbols import mullineux_map, mullineux_symbol
 from .verify import run_checks
-
-DEFAULT_MAX_N = 30
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND,
@@ -54,18 +51,6 @@ def _is_prime(p):
         else:
             return False
     return True
-
-
-def _check_n(n):
-    """n under the CLI's enumeration cap, MULLI_MAX_N (default 30); the library checks the rest."""
-    raw = os.environ.get("MULLI_MAX_N", DEFAULT_MAX_N)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"MULLI_MAX_N must be an integer, got {raw!r}") from None
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap} (set MULLI_MAX_N to raise it)")
-    return n
 
 
 def _build_parser():
@@ -123,17 +108,17 @@ def _run(args):
         return (json.dumps(image) if as_json else format_partition(image)), 0
 
     if args.subcommand == "census":
-        report = census(args.p, _check_n(args.n))
+        report = census(args.p, args.n)
         if args.format == "csv":
             return report.to_csv().rstrip("\n"), 0
         return (json.dumps(report.to_json_dict()) if as_json else report.to_text()), 0
 
     if args.subcommand == "gf":
-        coeffs = bg_counts_from_gf(args.p, _check_n(args.n))
+        coeffs = bg_counts_from_gf(args.p, args.n)
         return (json.dumps(coeffs) if as_json else "\n".join(f"{n} {c}" for n, c in enumerate(coeffs))), 0
 
     if args.subcommand == "verify":
-        results = run_checks(args.p, _check_n(args.n))
+        results = run_checks(args.p, args.n)
         code = 0 if all(r.ok for r in results) else 3
         if as_json:
             return json.dumps([asdict(r) for r in results]), code

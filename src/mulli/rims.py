@@ -88,7 +88,7 @@ class PRimStar:
     r_star: int
     eps_star: int
 
-    @property
+    @cached_property
     def upper(self) -> tuple:
         return tuple(sorted(_tail_cells(self.lam, self.counts)))
 

@@ -84,6 +84,11 @@ class _Sweep(dict):
             raise ValueError(f"p={p} is too large for verify: its layer checks need p * p <= {MAX_CELLS}")
         self.p = p
         self.gf = bg_counts_from_gf(p, _size_arg(n_max, VERIFY_MAX_N, "run_checks"))
+        # layer-postconditions grows p + 1 layers per self-conjugate base in about 63 + 0.22p us each (fit at
+        # p = 51..999); gf counts the bases once p > n_max, the only p where this passes 10 s
+        seconds = (p + 1) * sum(self.gf) * (63 + 0.22 * p) / 1e6
+        if seconds > 10:
+            raise ValueError(f"p={p}, n={n_max} is too large for verify: its layer checks would take about {seconds:.0f} s")
 
     def __missing__(self, n):
         peers = self[n] = {}
@@ -178,7 +183,7 @@ def _rim_star_structure(r):
     """a* counts the union of both halves, r* the upper one, eps* the diagonal cell."""
     star, upper = r.star, r.star.upper
     diagonal = sum(1 for i, j in upper if i == j)
-    if star.eps_star != diagonal or star.a_star != len(set(upper) | set(star.lower)) or 2 * star.r_star != star.a_star + diagonal:
+    if star.eps_star != diagonal or star.a_star != len(star.cells) or 2 * star.r_star != star.a_star + diagonal:
         return f"lam={r.lam}: a*={star.a_star}, r*={star.r_star}, eps*={star.eps_star} disagree with the cells"
     if not is_self_conjugate(r.star_rest) or sum(r.star_rest) != r.n - star.a_star:
         return f"lam={r.lam}: removal broke symmetry or size"

@@ -177,10 +177,16 @@ def test_sizes_are_capped_before_any_work(n):
         (lambda: bg_counts_from_gf(999, 20001), "n=20001 exceeds the bg_counts_from_gf cap 20000"),
         (lambda: run_checks(3, 31), "n=31 exceeds the run_checks cap 30"),
         *[(functools.partial(check, 3, 31), "n=31 exceeds the run_checks cap 30") for check in CHECKS],
+        (functools.partial(run_checks, 999, 31), "n=31 exceeds the run_checks cap 30"),
+        *[
+            (functools.partial(check, 999, 17), "p=999, n=17 is too large for verify: its layer checks would take about 11 s")
+            for check in (run_checks, *CHECKS)
+        ],
     ],
 )
 def test_costly_calls_are_capped_before_any_work(call, message):
     # each cap is where one call takes about 10 s; one past it is refused at once
+    # (verify's layer work at p = 999: 9.3 s predicted at n = 16, 10.7 s at n = 17)
     start = time.perf_counter()
     with pytest.raises(ValueError) as err:
         call()

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from mulli import bg_counts_from_gf, census
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -147,22 +149,30 @@ def test_strict_prime_rejects_composite():
 
 
 def test_enumeration_cap():
-    assert run_cli("gf", "-p", "3", "-n", "31").returncode == 1
-    assert run_cli("gf", "-p", "3", "-n", "31", env_extra={"MULLI_MAX_N": "40"}).returncode == 0
-    assert run_cli("gf", "-p", "3", "-n", "11", env_extra={"MULLI_MAX_N": "10"}).returncode == 1
-    assert run_cli("gf", "-p", "3", "-n", "11", env_extra={"MULLI_MAX_N": "junk"}).returncode == 1
-    # the library's own size cap holds under any MULLI_MAX_N
-    out = run_cli("gf", "-p", "3", "-n", str(10**25), env_extra={"MULLI_MAX_N": str(10**30)})
+    # the CLI's only caps are the library's: its size cap
+    out = run_cli("gf", "-p", "3", "-n", str(10**25))
     assert out.returncode == 1
     assert out.stderr == "error: size 10000000000000000000000000 exceeds the size cap 1000000\n"
-    # nor can it raise a library call's own cap on n
-    out = run_cli("census", "-p", "3", "-n", "61", env_extra={"MULLI_MAX_N": "100"})
+    # and its caps on n
+    out = run_cli("census", "-p", "3", "-n", "61")
     assert out.returncode == 1
     assert out.stderr == "error: n=61 exceeds the census cap 60\n"
+    out = run_cli("verify", "-p", "3", "-n", "31")
+    assert out.returncode == 1
+    assert out.stderr == "error: n=31 exceeds the run_checks cap 30\n"
     # negative sizes are the library's to reject
     out = run_cli("gf", "-p", "3", "-n", "-1")
     assert out.returncode == 1
     assert out.stderr == "error: expected a size >= 0, got -1\n"
+    # below them, every size runs
+    out = run_cli("gf", "-p", "3", "-n", "31")
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [f"{n} {c}" for n, c in enumerate(bg_counts_from_gf(3, 31))]
+    out = run_cli("census", "-p", "3", "-n", "31", "--format", "json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == census(3, 31).to_json_dict()
+    # no environment variable sets a cap
+    assert run_cli("gf", "-p", "3", "-n", "10", env_extra={"MULLI_MAX_N": "5"}).returncode == 0
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -86,6 +86,19 @@ def test_p_rim_lists_its_cells_once(monkeypatch):
     assert pr == fresh and hash(pr) == hash(fresh) and repr(pr) == repr(fresh) == "PRim(lam=(9, 6, 3, 1), p=3, counts=(3, 3, 3, 1))"
 
 
+def test_rim_star_lists_its_upper_half_once(monkeypatch):
+    calls = []
+    real = mulli.rims._tail_cells
+    monkeypatch.setattr(mulli.rims, "_tail_cells", lambda *args: calls.append(args) or real(*args))
+    star = p_rim_star((6, 5, 5, 3, 3, 1), 3)
+    for _ in range(2):
+        assert set(star.cells) == set(star.upper) | set(star.lower) and len(star.cells) == star.a_star == 11
+    assert len(calls) == 1
+    fresh = p_rim_star((6, 5, 5, 3, 3, 1), 3)
+    assert star == fresh and hash(star) == hash(fresh) and repr(star) == repr(fresh)
+    assert repr(star) == "PRimStar(lam=(6, 5, 5, 3, 3, 1), counts=(2, 1, 3), a_star=11, r_star=6, eps_star=1)"
+
+
 def test_remove_p_rim_golden():
     assert remove_p_rim((9, 6, 3, 1), 3) == (6, 3)
     assert remove_p_rim((9, 6, 3, 1), 5) == (5, 5)
