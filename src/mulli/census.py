@@ -19,11 +19,12 @@ from .partitions import is_p_regular
 from .symbols import _is_self_mullineux
 
 
-# Caps on n where one call takes about 10 s (2-vCPU x86 host, CPython 3.11).
-# census walks all p(n) partitions: 8.4 s at p = 3, n = 60.  The generating
-# function is quadratic in n: 8.5 s at p = 3, n = 20000, and 12.7 s at p = 999.
+# Caps on n where one call takes about 10 s (2-vCPU x86 host, CPython 3.11, median of 3).
+# census walks all p(n) partitions, peeling every p-regular one: at n = 60, 6.1 s
+# at p = 3, 9.3 s at p = 61 and 8.4 s at p = 999.  The generating function is
+# quadratic in n: at n = 18000, 4.7 s at p = 3 and 8.2 s at p = 999.
 CENSUS_MAX_N = 60
-GF_MAX_N = 20_000
+GF_MAX_N = 18_000
 
 
 def partitions_of(n, largest=None):

@@ -19,13 +19,13 @@ from typing import Callable, NamedTuple
 from .bg import add_rim_star_layer, bg_symbol, bg_to_mull, mull_to_bg
 from .census import _has_distinct_odd_parts, bg_counts_from_gf, partitions_of
 from .partitions import _is_p_regular, conjugate, diagonal_hook_lengths, hook_length, is_bg_partition, is_p_regular, is_self_conjugate
-from .partitions import MAX_CELLS, _size_arg, check_odd_p, self_conjugate_from_diagonal_hooks, truncate_to_durfee
+from .partitions import _size_arg, check_odd_p, self_conjugate_from_diagonal_hooks, truncate_to_durfee
 from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim
 from .symbols import _is_fixed, is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
 
 
-# Cap on n for run_checks and every check, where one call takes about 10 s (2-vCPU
-# x86 host, CPython 3.11): 7.2 s at p = 3, n = 30, 9.3 s at n = 31; p = 7 costs 1.4x p = 3.
+# Cap on n for run_checks and every check, which keeps the sweep small (2-vCPU x86 host,
+# CPython 3.11): n = 30 took 6.2 s at p = 3, 6.3 s at p = 7 and 8.2 s at p = 31.
 VERIFY_MAX_N = 30
 
 
@@ -79,16 +79,17 @@ class _Sweep(dict):
 
     def __init__(self, p, n_max):
         super().__init__()
-        check_odd_p(p)
-        if p * p > MAX_CELLS:  # layer-postconditions grows p + 1 layers of up to about 2p cells per base
-            raise ValueError(f"p={p} is too large for verify: its layer checks need p * p <= {MAX_CELLS}")
-        self.p = p
+        self.p = check_odd_p(p)
         self.gf = bg_counts_from_gf(p, _size_arg(n_max, VERIFY_MAX_N, "run_checks"))
-        # layer-postconditions grows p + 1 layers per self-conjugate base in about 63 + 0.22p us each (fit at
-        # p = 51..999); gf counts the bases once p > n_max, the only p where this passes 10 s
-        seconds = (p + 1) * sum(self.gf) * (63 + 0.22 * p) / 1e6
-        if seconds > 10:
-            raise ValueError(f"p={p}, n={n_max} is too large for verify: its layer checks would take about {seconds:.0f} s")
+        self.counts = [1]  # Euler: p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
+        for m in range(1, n_max + 1):
+            pentagonal = (((-1) ** (k + 1), g) for k in range(1, m + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+            self.counts.append(sum(sign * self.counts[m - g] for sign, g in pentagonal if g <= m))
+        # the sweep's predicted time, in integer units of 0.01 us so that a huge p is refused too: about 10 us per
+        # cell swept (6-12 us at p = 3..199, n = 26), plus p + 1 layers per self-conjugate base at 63 + 0.22p us each
+        work = 1000 * sum(k * c for k, c in enumerate(self.counts)) + (p + 1) * sum(self.gf) * (6300 + 22 * p)
+        if work > 10**9:
+            raise ValueError(f"p={p}, n={n_max} is too large for verify: its checks would take about {(work + 5 * 10**7) // 10**8} s")
 
     def __missing__(self, n):
         peers = self[n] = {}
@@ -122,12 +123,8 @@ def _from_zero(p, n_max):
 
 def _partition_count(sweep, n, recs):
     """The enumeration against Euler's pentagonal-number recurrence."""
-    counts = [1]  # p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
-    for m in range(1, n + 1):
-        pentagonal = (((-1) ** (k + 1), g) for k in range(1, m + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
-        counts.append(sum(sign * counts[m - g] for sign, g in pentagonal if g <= m))
     found = len(sweep[n])
-    yield None if found == counts[n] else f"n={n}: enumerated {found}, recurrence {counts[n]}"
+    yield None if found == sweep.counts[n] else f"n={n}: enumerated {found}, recurrence {sweep.counts[n]}"
 
 
 def _conjugate_involution(r):

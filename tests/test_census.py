@@ -174,19 +174,21 @@ def test_sizes_are_capped_before_any_work(n):
     "call, message",
     [
         (lambda: census(3, 61), "n=61 exceeds the census cap 60"),
-        (lambda: bg_counts_from_gf(999, 20001), "n=20001 exceeds the bg_counts_from_gf cap 20000"),
+        (lambda: bg_counts_from_gf(999, 18001), "n=18001 exceeds the bg_counts_from_gf cap 18000"),
         (lambda: run_checks(3, 31), "n=31 exceeds the run_checks cap 30"),
         *[(functools.partial(check, 3, 31), "n=31 exceeds the run_checks cap 30") for check in CHECKS],
         (functools.partial(run_checks, 999, 31), "n=31 exceeds the run_checks cap 30"),
         *[
-            (functools.partial(check, 999, 17), "p=999, n=17 is too large for verify: its layer checks would take about 11 s")
+            (functools.partial(check, 999, 17), "p=999, n=17 is too large for verify: its checks would take about 11 s")
             for check in (run_checks, *CHECKS)
         ],
+        (functools.partial(run_checks, 199, 30), "p=199, n=30 is too large for verify: its checks would take about 11 s"),
     ],
 )
 def test_costly_calls_are_capped_before_any_work(call, message):
-    # each cap is where one call takes about 10 s; one past it is refused at once
-    # (verify's layer work at p = 999: 9.3 s predicted at n = 16, 10.7 s at n = 17)
+    # each cap is where one call takes about 10 s; one past it is refused at once (verify's
+    # whole sweep is predicted at 9.3 s for p = 199, n = 29 and 11.4 s at n = 30; 9.5 s and 10.9 s
+    # for p = 999 at n = 16 and 17)
     start = time.perf_counter()
     with pytest.raises(ValueError) as err:
         call()

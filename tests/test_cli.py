@@ -260,6 +260,8 @@ def test_verify_json_reports_seconds():
 
 
 def test_verify_rejects_a_huge_p_at_once():
-    out = run_cli("verify", "-p", "1000000007", "-n", "0")
-    assert out.returncode == 1
-    assert out.stderr.startswith("error: ") and "too large for verify" in out.stderr
+    for p in (10**9 + 7, 10**400 + 1):
+        out = run_cli("verify", "-p", str(p), "-n", "0")
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert out.stderr.splitlines()[-1].startswith(f"error: p={p}, n=0 is too large for verify")

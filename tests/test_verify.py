@@ -111,10 +111,12 @@ def test_a_failing_law_exits_3(monkeypatch, capsys):
 
 
 def test_verify_bounds_p_before_any_work():
-    # layer-postconditions grows p + 1 layers of about 2p cells per base
-    for p in (1001, 10**9 + 7):
+    # the predicted time of the whole sweep bounds p: at n = 0 its layer term alone passes 10 s at p = 6601
+    for p in (6601, 10**9 + 7, 10**400 + 1):
         with pytest.raises(ValueError, match="too large for verify"):
             run_checks(p, 0)
         with pytest.raises(ValueError, match="too large for verify"):
             CHECKS[0](p, 0)
     assert all(r.ok for r in run_checks(999, 1))
+    results = run_checks(1001, 2)
+    assert len(results) == len(CHECKS) and all(r.ok for r in results)
