@@ -10,7 +10,7 @@ import time
 import pytest
 
 from mulli import MAX_CELLS, CensusReport, bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of, run_checks
-from mulli.verify import CHECKS
+from mulli.verify import CHECKS, _Sweep
 from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux
 
 
@@ -113,6 +113,27 @@ def test_gf_against_subset_sums():
         assert bg_counts_from_gf(p, n_max) == counts
 
 
+def _bg_counts_by_product(p, n_max):
+    """The product loop bg_counts_from_gf replaced, as an oracle: one factor (1 + t^q) per allowed q."""
+    coeffs = [1] + [0] * n_max
+    for q in range(1, n_max + 1, 2):
+        if q % p:
+            for k in range(n_max, q - 1, -1):
+                coeffs[k] += coeffs[k - q]
+    return coeffs
+
+
+@pytest.mark.parametrize("p, n_max", [(3, 2000), (5, 2000), (7, 2000), (9, 2000), (15, 2000), (999, 2000), (10**400 + 1, 50)])
+def test_gf_matches_the_product(p, n_max):
+    # the series for the eta quotient against the product it equals; a smaller
+    # call's coefficients are a prefix of this one's
+    assert bg_counts_from_gf(p, n_max) == _bg_counts_by_product(p, n_max)
+
+
+def test_sweep_counts_match_the_enumeration():
+    assert _Sweep(3, 30).counts == [sum(1 for _ in partitions_of(n)) for n in range(31)]
+
+
 def test_gf_matches_census():
     coeffs = bg_counts_from_gf(3, 12)
     for n in range(13):
@@ -174,21 +195,21 @@ def test_sizes_are_capped_before_any_work(n):
     "call, message",
     [
         (lambda: census(3, 61), "n=61 exceeds the census cap 60"),
-        (lambda: bg_counts_from_gf(999, 18001), "n=18001 exceeds the bg_counts_from_gf cap 18000"),
+        (lambda: bg_counts_from_gf(999, 80001), "n=80001 exceeds the bg_counts_from_gf cap 80000"),
         (lambda: run_checks(3, 31), "n=31 exceeds the run_checks cap 30"),
         *[(functools.partial(check, 3, 31), "n=31 exceeds the run_checks cap 30") for check in CHECKS],
         (functools.partial(run_checks, 999, 31), "n=31 exceeds the run_checks cap 30"),
         *[
-            (functools.partial(check, 999, 17), "p=999, n=17 is too large for verify: its checks would take about 11 s")
+            (functools.partial(check, 999, 17), "p=999, n=17 is too large for verify: its checks would take about 12 s")
             for check in (run_checks, *CHECKS)
         ],
-        (functools.partial(run_checks, 199, 30), "p=199, n=30 is too large for verify: its checks would take about 11 s"),
+        (functools.partial(run_checks, 199, 30), "p=199, n=30 is too large for verify: its checks would take about 12 s"),
     ],
 )
 def test_costly_calls_are_capped_before_any_work(call, message):
     # each cap is where one call takes about 10 s; one past it is refused at once (verify's
-    # whole sweep is predicted at 9.3 s for p = 199, n = 29 and 11.4 s at n = 30; 9.5 s and 10.9 s
-    # for p = 999 at n = 16 and 17)
+    # whole sweep is predicted at 9.4 s for p = 199, n = 29 and 11.4 s at n = 30; 9.8 s and 11.3 s
+    # for p = 999 at n = 16 and 17, and a refusal rounds its seconds up)
     start = time.perf_counter()
     with pytest.raises(ValueError) as err:
         call()

@@ -1,6 +1,7 @@
 """The check harness itself: all green on small sweeps, bookkeeping sane."""
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -82,6 +83,28 @@ def test_a_failing_law_reports_its_witness(monkeypatch):
     assert [(r.name, r.cases) for r in bad if r.ok] == [(r.name, r.cases) for r in good if r.name != "hook-transpose"]
 
 
+@pytest.mark.parametrize(
+    "bottom, name, detail",
+    [
+        ((1,), "partition-count", "n=7: enumerated 15, recurrence 16"),
+        ((1, 4, 6, 6), "bijection-roundtrip", "n=7: counts bg=1, mull=1, distinct-odd=1, gf=2"),
+    ],
+)
+def test_a_wrong_series_fails_its_law(monkeypatch, bottom, name, detail):
+    real = verify._eta_quotient
+
+    def wrong(n, top, bottom_):
+        coeffs = real(n, top, bottom_)
+        if bottom_ == bottom:
+            coeffs[7] += 1
+        return coeffs
+
+    # one helper feeds sweep.counts (1/E_1) and, through bg_counts_from_gf, sweep.gf (the BG series at p = 3)
+    monkeypatch.setattr(verify, "_eta_quotient", wrong)
+    monkeypatch.setattr(importlib.import_module("mulli.census"), "_eta_quotient", wrong)
+    assert [(r.name, r.detail) for r in run_checks(3, 12) if not r.ok] == [(name, detail)]
+
+
 def _p_rim_with_counts(target, counts):
     return lambda lam, p: PRim(lam, p, counts) if lam == target else p_rim(lam, p)
 
@@ -111,12 +134,18 @@ def test_a_failing_law_exits_3(monkeypatch, capsys):
 
 
 def test_verify_bounds_p_before_any_work():
-    # the predicted time of the whole sweep bounds p: at n = 0 its layer term alone passes 10 s at p = 6601
-    for p in (6601, 10**9 + 7, 10**400 + 1):
+    # the predicted time of the whole sweep bounds p: at n = 0 its layer term alone passes 10 s at p = 6459
+    for p in (6459, 10**9 + 7, 10**400 + 1):
         with pytest.raises(ValueError, match="too large for verify"):
             run_checks(p, 0)
-        with pytest.raises(ValueError, match="too large for verify"):
+        with pytest.raises(ValueError, match="too large for verify") as err:
             CHECKS[0](p, 0)
+    # past 10^6 s the time is a power of ten, so the message stays short although p has 401 digits
+    assert len(str(err.value)) < 500 and str(err.value).endswith("its checks would take about 10^794 s")
+    # the prediction is only just past 10 s, and rounds up
+    with pytest.raises(ValueError) as err:
+        run_checks(6459, 0)
+    assert str(err.value) == "p=6459, n=0 is too large for verify: its checks would take about 11 s"
     assert all(r.ok for r in run_checks(999, 1))
     results = run_checks(1001, 2)
     assert len(results) == len(CHECKS) and all(r.ok for r in results)
