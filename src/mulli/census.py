@@ -9,12 +9,8 @@ generating function prod (1 + t^q) over odd q with p not dividing q
 counts.
 """
 
-import csv
-import io
-from dataclasses import dataclass, fields
-
 from .bg import bg_to_mull
-from .partitions import _conjugate, _is_bg, _is_int, _is_p_regular, _size_arg, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
+from .partitions import _Value, _conjugate, _is_bg, _is_int, _is_p_regular, _size_arg, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
 from .partitions import is_p_regular
 from .symbols import _is_self_mullineux
 
@@ -79,20 +75,13 @@ def _listed(x):
     return [_listed(y) for y in x] if isinstance(x, tuple) else x
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    p: int
-    n: int
-    all_count: int
-    p_regular_count: int
-    self_conjugate: tuple
-    bg: tuple
-    self_mullineux: tuple
-    distinct_odd_nondiv: tuple
-    pairs: tuple  # (bg partition, self-Mullineux partner), bg side decreasing lex
+class CensusReport(_Value):
+    # pairs: (bg partition, self-Mullineux partner), bg side decreasing lex
+    def __init__(self, p, n, all_count, p_regular_count, self_conjugate, bg, self_mullineux, distinct_odd_nondiv, pairs):
+        self.__dict__.update(zip(self._fields, (p, n, all_count, p_regular_count, self_conjugate, bg, self_mullineux, distinct_odd_nondiv, pairs)))
 
     def to_json_dict(self):
-        return {f.name: _listed(getattr(self, f.name)) for f in fields(self)}
+        return {name: _listed(getattr(self, name)) for name in self._fields}
 
     def to_csv(self):
         """One row per partition that appears in any listed family.
@@ -100,6 +89,8 @@ class CensusReport:
         Columns: partition, p_regular, self_conjugate, bg, self_mullineux,
         distinct_odd_nondiv, maps_to (the partner, bg rows only).
         """
+        import csv, io  # only the CSV format needs them
+
         partner = dict(self.pairs)
         families = (set(self.self_conjugate), set(self.bg), set(self.self_mullineux), set(self.distinct_odd_nondiv))
         out = io.StringIO()

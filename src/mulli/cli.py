@@ -11,7 +11,6 @@ print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .bg import bg_symbol, bg_to_mull, mull_to_bg
 from .census import bg_counts_from_gf, census
@@ -121,7 +120,7 @@ def _run(args):
         results = run_checks(args.p, args.n)
         code = 0 if all(r.ok for r in results) else 3
         if as_json:
-            return json.dumps([asdict(r) for r in results]), code
+            return json.dumps([r.to_json_dict() for r in results]), code
         return "\n".join(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results), code
 
     if args.subcommand == "render":

@@ -26,7 +26,7 @@ Every function is pure and every value immutable.
 
 import sys
 from itertools import accumulate
-from operator import add, gt, le, sub
+from operator import add, attrgetter, gt, le, sub
 
 # Desk-scale tool: partitions are validated to at most this many cells,
 # so all arithmetic stays in machine words.
@@ -34,6 +34,32 @@ MAX_CELLS = 10**6
 
 # row indices 1, 2, ... for map, which stops at its shortest argument
 _ROWS = range(1, sys.maxsize)
+
+
+class _Value:
+    """A frozen value: its fields are the parameters of its class's __init__, which stores them.
+
+    Equal and hashed by type and fields (uncompared=(names,) leaves some out).
+    """
+
+    def __init_subclass__(cls, uncompared=()):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = attrgetter(*(f for f in cls._fields if f not in uncompared))
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def as_partition(parts) -> tuple[int, ...]:

@@ -27,11 +27,10 @@ it takes t and t becomes that b + p; row 1 takes t.  The kernels take
 trusted input and check their invariants once per step with builtins.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import gt, lt, sub
 
-from .partitions import _arms, _betas, _partition_arg, _parts, _self_conjugate_arg, _unfold, as_partition
+from .partitions import _Value, _arms, _betas, _partition_arg, _parts, _self_conjugate_arg, _unfold, as_partition
 
 
 def _tail_cells(rows, counts) -> tuple:
@@ -46,13 +45,11 @@ def _mirrored(upper) -> tuple:
     return tuple(sorted(set(upper) | {(j, i) for i, j in upper}))
 
 
-@dataclass(frozen=True)
-class PRim:
+class PRim(_Value):
     """One p-rim of lam: counts[i] cells from the right end of row i + 1."""
 
-    lam: tuple
-    p: int
-    counts: tuple
+    def __init__(self, lam, p, counts):
+        self.__dict__.update(lam=lam, p=p, counts=counts)
 
     def __len__(self):
         return sum(self.counts)
@@ -72,8 +69,7 @@ class PRim:
         return tuple(self.cells[start : start + self.p] for start in self.segment_starts)
 
 
-@dataclass(frozen=True)
-class PRimStar:
+class PRimStar(_Value):
     """Symmetrized p-rim of a self-conjugate partition.
 
     counts[i] is the number of p-rim cells on or above the diagonal in
@@ -82,11 +78,8 @@ class PRimStar:
     is what the parity eps_star detects.
     """
 
-    lam: tuple
-    counts: tuple
-    a_star: int
-    r_star: int
-    eps_star: int
+    def __init__(self, lam, counts, a_star, r_star, eps_star):
+        self.__dict__.update(lam=lam, counts=counts, a_star=a_star, r_star=r_star, eps_star=eps_star)
 
     @cached_property
     def upper(self) -> tuple:

@@ -13,10 +13,9 @@ Symbol is the public boundary type: inside the library a symbol travels
 as its trusted columns (a, r), from _columns to _reconstruct.
 """
 
-from dataclasses import dataclass
 from operator import lt
 
-from .partitions import MAX_CELLS, _as_tuple, _is_int, _parts, _regular_arg, check_odd_p
+from .partitions import MAX_CELLS, _Value, _as_tuple, _is_int, _parts, _regular_arg, check_odd_p
 from .rims import _grow, _peel, p_rim  # noqa: F401 - bench/test_bench.py reads mulli.symbols.p_rim
 
 
@@ -36,8 +35,7 @@ def _columns(lam, p, star=False) -> tuple:
     return tuple(zip(*columns)) if columns else ((), ())
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(_Value):
     """Two-row array (a_0 .. a_l ; r_0 .. r_l) attached to an odd modulus p.
 
     kind is "mullineux" for symbols of p-regular partitions and "bg" for
@@ -46,22 +44,17 @@ class Symbol:
     families is literally "reinterpret the columns, then reconstruct".
     """
 
-    p: int
-    a: tuple
-    r: tuple
-    kind: str = "mullineux"
-
-    def __post_init__(self):
-        check_odd_p(self.p)
-        object.__setattr__(self, "a", _as_tuple(self.a, "a symbol row must be an iterable of positive integers"))
-        object.__setattr__(self, "r", _as_tuple(self.r, "a symbol row must be an iterable of positive integers"))
-        if len(self.a) != len(self.r):
+    def __init__(self, p, a, r, kind="mullineux"):
+        check_odd_p(p)
+        a, r = (_as_tuple(row, "a symbol row must be an iterable of positive integers") for row in (a, r))
+        if len(a) != len(r):
             raise ValueError("symbol rows must have equal length")
-        for x in self.a + self.r:
+        for x in a + r:
             if not _is_int(x) or x < 1:
                 raise ValueError(f"symbol entries must be positive integers, got {x!r}")
-        if self.kind not in ("mullineux", "bg"):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
+        if kind not in ("mullineux", "bg"):
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        self.__dict__.update(p=p, a=a, r=r, kind=kind)
 
     def __len__(self):
         return len(self.a)

@@ -12,13 +12,12 @@ enumerates only the sizes it sweeps.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from operator import attrgetter
-from typing import Callable, NamedTuple
 
 from .bg import add_rim_star_layer, bg_symbol, bg_to_mull, mull_to_bg
 from .census import _eta_quotient, _has_distinct_odd_parts, bg_counts_from_gf, partitions_of
-from .partitions import _is_p_regular, conjugate, diagonal_hook_lengths, hook_length, is_bg_partition, is_p_regular, is_self_conjugate
+from .partitions import _Value, _is_p_regular, conjugate, diagonal_hook_lengths, hook_length, is_bg_partition, is_p_regular, is_self_conjugate
 from .partitions import _size_arg, check_odd_p, self_conjugate_from_diagonal_hooks, truncate_to_durfee
 from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim
 from .symbols import _is_fixed, is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
@@ -29,13 +28,12 @@ from .symbols import _is_fixed, is_self_mullineux, mullineux_map, mullineux_symb
 VERIFY_MAX_N = 30
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    cases: int
-    seconds: float = field(default=0.0, compare=False)  # set by run_checks
+class CheckResult(_Value, uncompared=("seconds",)):
+    def __init__(self, name, ok, detail, cases, seconds=0.0):
+        self.__dict__.update(name=name, ok=ok, detail=detail, cases=cases, seconds=seconds)
+
+    def to_json_dict(self):
+        return {name: getattr(self, name) for name in self._fields}
 
 
 # each value a law may ask a record for, computed from its partition
@@ -84,8 +82,10 @@ class _Sweep(dict):
         self.counts = _eta_quotient(n_max, (), (1,))  # p(0..n_max), by Euler's pentagonal-number recurrence
         # the sweep's predicted time, in integer units of 0.01 us so that a huge p is refused too: about 10 us per
         # cell swept (6-12 us at p = 3..199, n = 26), plus p + 1 layers per self-conjugate base at 63 + 0.23p us each
-        # (measured in the whole sweep: 57 us at (p, n) = (51, 30), 257 at (999, 16), 1172 at (5001, 0), 1562 at (6599, 0))
-        work = 1000 * sum(k * c for k, c in enumerate(self.counts)) + (p + 1) * sum(self.gf) * (6300 + 23 * p)
+        # (measured in the whole sweep: 57 us at (p, n) = (51, 30), 257 at (999, 16), 1172 at (5001, 0), 1562 at (6599, 0));
+        # E_2^2 / (E_1 E_4) = prod (1 + t^q), q odd, counts the self-conjugate bases
+        self.layers = (p + 1) * sum(_eta_quotient(n_max, (2, 2), (1, 4)))
+        work = 1000 * sum(k * c for k, c in enumerate(self.counts)) + self.layers * (6300 + 23 * p)
         if work > 10**9:
             seconds = -(-work // 10**8)
             about = f"10^{len(str(seconds - 1))}" if seconds > 10**6 else seconds  # a power of ten, rounded up
@@ -98,20 +98,10 @@ class _Sweep(dict):
         return peers
 
 
-class _Law(NamedTuple):
-    """One check as a table row.
-
-    Each record in the domain counts `cases` cases, and `law` returns
-    None or the witness text.  per_size yields None or a witness text
-    once per extra case of a size.
-    """
-
-    name: str
-    law: Callable = lambda r: None
-    domain: Callable = lambda r: True
-    sizes: Callable = lambda p, n_max: range(1, n_max + 1)
-    per_size: Callable = lambda sweep, n, recs: ()
-    cases: Callable = lambda r: 1
+# one check as a table row: each record in the domain counts `cases` cases; `law`, and per_size once
+# per extra case of a size, give None or the witness text
+_Law = namedtuple("_Law", "name law domain sizes per_size cases", defaults=(
+    lambda r: None, lambda r: True, lambda p, n_max: range(1, n_max + 1), lambda sweep, n, recs: (), lambda r: 1))
 
 
 _selfconj, _regular, _bg = attrgetter("selfconj"), attrgetter("regular"), attrgetter("bg")
@@ -337,5 +327,6 @@ def run_checks(p, n_max):
     sweep, results = _Sweep(p, n_max), []
     for check in CHECKS:
         start = time.perf_counter()
-        results.append(replace(check(p, n_max, sweep), seconds=time.perf_counter() - start))
+        r = check(p, n_max, sweep)
+        results.append(CheckResult(r.name, r.ok, r.detail, r.cases, time.perf_counter() - start))
     return results

@@ -1,6 +1,5 @@
 """Enumeration, family filters, and the counting identities."""
 
-import dataclasses
 import functools
 import importlib
 import itertools
@@ -9,7 +8,7 @@ import time
 
 import pytest
 
-from mulli import MAX_CELLS, CensusReport, bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of, run_checks
+from mulli import MAX_CELLS, bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of, run_checks
 from mulli.verify import CHECKS, _Sweep
 from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux
 
@@ -166,7 +165,9 @@ def test_census_json_round_trips():
     assert [tuple(x) for x in back["bg"]] == list(report.bg)
     for report in (report, census(3, 18)):
         d = report.to_json_dict()
-        assert list(d) == [f.name for f in dataclasses.fields(CensusReport)]
+        assert list(d) == [
+            "p", "n", "all_count", "p_regular_count", "self_conjugate", "bg", "self_mullineux", "distinct_odd_nondiv", "pairs"
+        ]
         for name in ("self_conjugate", "bg", "self_mullineux", "distinct_odd_nondiv"):
             assert type(d[name]) is list and all(type(lam) is list for lam in d[name]), name
         assert d["pairs"] == [[list(b), list(m)] for b, m in report.pairs]

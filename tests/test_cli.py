@@ -175,17 +175,25 @@ def test_enumeration_cap():
     assert run_cli("gf", "-p", "3", "-n", "10", env_extra={"MULLI_MAX_N": "5"}).returncode == 0
 
 
-def test_runtime_imports_only_the_standard_library():
+def modules_after_importing_the_cli(expression):
+    """Print `expression` of sys.modules in a bare interpreter that has just imported mulli.cli."""
     # -S skips the site hooks, which may import third-party modules before any user code;
     # -B keeps the run from writing bytecode next to the sources
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import mulli.cli; "
-        "print(sorted({m.partition('.')[0] for m in sys.modules} - set(sys.stdlib_module_names) - {'mulli', '__main__'}))"
-    )
+    code = f"import sys; sys.path.insert(0, sys.argv[1]); import mulli.cli; print(sorted({expression}))"
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    return out.stdout
+
+
+def test_runtime_imports_only_the_standard_library():
+    expression = "{m.partition('.')[0] for m in sys.modules} - set(sys.stdlib_module_names) - {'mulli', '__main__'}"
+    assert modules_after_importing_the_cli(expression) == "[]\n"
+
+
+def test_runtime_imports_no_dataclasses_inspect_typing_or_csv():
+    # each costs every CLI process milliseconds at start-up; census imports csv only when it writes CSV
+    assert modules_after_importing_the_cli("{'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules)") == "[]\n"
 
 
 def test_out_writes_file(tmp_path):

@@ -1,10 +1,18 @@
 """Partition basics checked against brute-force cell-set oracles."""
 
+import copy
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mulli import (
     MAX_CELLS,
+    CensusReport,
+    CheckResult,
+    PRim,
+    PRimStar,
     Symbol,
     add_rim_star_layer,
     as_partition,
@@ -17,12 +25,16 @@ from mulli import (
     is_bg_partition,
     is_p_regular,
     is_self_conjugate,
+    census,
     mullineux_map,
+    mullineux_symbol,
     p_rim,
+    p_rim_star,
     parse_partition,
     partitions_of,
     reconstruct,
     render_diagram,
+    run_checks,
     self_conjugate_from_diagonal_hooks,
     truncate_to_durfee,
     validate_symbol,
@@ -301,3 +313,39 @@ def test_the_hook_postcondition_raises_without_asserts(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         self_conjugate_from_diagonal_hooks((3, 1))
     assert str(err.value) == "the diagonal hooks (3, 1) rebuilt (3, 1, 1), which does not have them"
+
+
+@pytest.mark.parametrize(
+    "cls, make, fields, changed, uncompared",
+    [
+        (PRim, lambda: p_rim((9, 6, 3, 1), 3), ["lam", "p", "counts"], {}, ()),
+        (PRimStar, lambda: p_rim_star((6, 5, 5, 3, 3, 1), 3), ["lam", "counts", "a_star", "r_star", "eps_star"], {}, ()),
+        # Symbol validates its fields, so each changed field gets a valid value
+        (Symbol, lambda: mullineux_symbol((9, 6, 3, 1), 3), ["p", "a", "r", "kind"],
+         {"p": 5, "a": (1, 1, 1), "r": (9, 9, 9), "kind": "bg"}, ()),
+        (CensusReport, lambda: census(3, 6), ["p", "n", "all_count", "p_regular_count", "self_conjugate", "bg",
+                                              "self_mullineux", "distinct_odd_nondiv", "pairs"], {}, ()),
+        (CheckResult, lambda: run_checks(3, 4)[0], ["name", "ok", "detail", "cases", "seconds"], {}, ("seconds",)),
+    ],
+)
+def test_record_types_are_frozen_values(cls, make, fields, changed, uncompared):
+    value = make()
+    assert type(value) is cls and list(inspect.signature(cls).parameters) == fields
+    kwargs = {name: getattr(value, name) for name in fields}
+    for same in (cls(**kwargs), cls(*kwargs.values()), pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(same) is cls and same == value and hash(same) == hash(value) and repr(same) == repr(value)
+        assert {name: getattr(same, name) for name in fields} == kwargs
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{name}={x!r}' for name, x in kwargs.items())})"
+    # equality reads the type and every compared field
+    assert value != tuple(kwargs.values()) and value != type(cls.__name__, (cls,), {})(**kwargs)
+    for name in fields:
+        other = cls(**{**kwargs, name: changed.get(name, object())})
+        assert (other == value) is (name in uncompared) and (other != value) is (name not in uncompared)
+        if name in uncompared:
+            assert hash(other) == hash(value)
+    for name in fields + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert {name: getattr(value, name) for name in fields} == kwargs

@@ -81,7 +81,7 @@ def test_p_rim_lists_its_cells_once(monkeypatch):
     for _ in range(2):
         assert sum(pr.segments, ()) == pr.cells
     assert len(calls) == 1
-    # the listed cells are no field: equality, hash and repr are the dataclass's own
+    # the listed cells are no field: equality, hash and repr read the three fields alone
     fresh = p_rim((9, 6, 3, 1), 3)
     assert pr == fresh and hash(pr) == hash(fresh) and repr(pr) == repr(fresh) == "PRim(lam=(9, 6, 3, 1), p=3, counts=(3, 3, 3, 1))"
 

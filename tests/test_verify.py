@@ -1,14 +1,14 @@
 """The check harness itself: all green on small sweeps, bookkeeping sane."""
 
-import dataclasses
 import importlib
 import json
 
 import pytest
 
-from mulli import cli, run_checks, verify
+from mulli import cli, conjugate, partitions_of, run_checks, verify
+from mulli.census import _eta_quotient
 from mulli.rims import PRim, p_rim, rim
-from mulli.verify import CHECKS, check_p_rim_structure, check_rim_star_parity, check_small_size_conjugation
+from mulli.verify import CHECKS, CheckResult, _Sweep, check_layer_postconditions, check_p_rim_structure, check_rim_star_parity, check_small_size_conjugation
 
 
 def test_all_checks_pass_small():
@@ -61,7 +61,7 @@ def test_case_counts_are_pinned():
 def test_seconds_are_measured_but_not_compared():
     results = run_checks(3, 8)
     assert all(r.seconds >= 0 for r in results) and sum(r.seconds for r in results) > 0
-    assert results == [dataclasses.replace(r, seconds=0.0) for r in results]
+    assert results == [CheckResult(r.name, r.ok, r.detail, r.cases, seconds=0.0) for r in results]
 
 
 def _off_by_one_on_one_cell(monkeypatch):
@@ -113,7 +113,7 @@ def _p_rim_with_counts(target, counts):
     "name, broken, detail",
     [
         ("rim", lambda lam: rim(lam)[::-1], "lam=(2,): first segment strays from the rim path"),
-        ("p_rim", lambda lam, p: dataclasses.replace(p_rim(lam, p), p=p + 2), "lam=(3, 1): bad segment sizes [4]"),
+        ("p_rim", lambda lam, p: PRim(lam, p + 2, p_rim(lam, p).counts), "lam=(3, 1): bad segment sizes [4]"),
         ("p_rim", _p_rim_with_counts((3, 1, 1), (3, 0, 1)), "lam=(3, 1, 1): segments do not step down one row"),
         ("p_rim", _p_rim_with_counts((3, 1, 1), (3, 1, 0)), "lam=(3, 1, 1): p-rim leaves the rim or misses the last row"),
         ("remove_p_rim", lambda lam, p: lam, "lam=(1,): removal size mismatch"),
@@ -149,3 +149,11 @@ def test_verify_bounds_p_before_any_work():
     assert all(r.ok for r in run_checks(999, 1))
     results = run_checks(1001, 2)
     assert len(results) == len(CHECKS) and all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("p, n", [(3, 20), (7, 20), (31, 12)])
+def test_the_work_bound_counts_the_layers_the_layer_check_grows(p, n):
+    # p + 1 layers on every self-conjugate base, less the eps = 0 layer the empty base cannot grow
+    selfconj = [sum(lam == conjugate(lam) for lam in partitions_of(k)) for k in range(n + 1)]
+    assert _eta_quotient(n, (2, 2), (1, 4)) == selfconj
+    assert check_layer_postconditions(p, n).cases == (p + 1) * sum(selfconj) - 1 == _Sweep(p, n).layers - 1
