@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 domain error (bad partition, bad p, cap
 exceeded, --out not writable), 2 usage error, 3 verify found a failing
-property, 4 internal error (a broken invariant of the kernels, which is
-a bug).  Domain errors print `error: <msg>` to stderr in text mode and
-an `{"error": <msg>}` object to stdout in json mode; internal errors
-print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
+property (a value a library call rejects inside a law is its witness),
+4 internal error (a broken invariant of the kernels, which is a bug; it
+stops verify too).  Domain errors print `error: <msg>` to stderr in text
+mode and an `{"error": <msg>}` object to stdout in json mode; internal
+errors print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
 """
 
 import argparse

@@ -5,10 +5,11 @@ once and wraps each in a lazy record.  A record computes each value a
 law asks for at most once, from a private kernel or from one call to
 the public function whose law a check states, and every other check
 reuses that result.  Each check is a row of LAWS run over the shared
-records; it reports how many concrete cases it covered and, on
-failure, the first witness.  CHECKS holds one check_<name>(p, n_max)
-callable per row, in report order; called on its own, a check
-enumerates only the sizes it sweeps.
+records; it reports how many concrete cases it covered, its wall time
+and, on failure, the first witness: the law's, or the ValueError a
+library call raised in it (a RuntimeError, a broken kernel invariant,
+escapes).  CHECKS holds one check_<name>(p, n_max) callable per row, in
+report order; called on its own, a check enumerates only the sizes it sweeps.
 """
 
 import time
@@ -216,17 +217,14 @@ def _bg_symbol_validates(r):
 
 
 def _symbol_roundtrip(r):
-    sym = mullineux_symbol(r.lam, r.p)
-    ok, why = validate_symbol(sym)
-    if not ok:
-        return f"lam={r.lam}: {why}"
-    if reconstruct(sym) != r.lam:
-        return f"lam={r.lam} reconstructs to {reconstruct(sym)}"
+    back = reconstruct(mullineux_symbol(r.lam, r.p))
+    if back != r.lam:
+        return f"lam={r.lam} reconstructs to {back}"
 
 
 def _involution(r):
-    back = r.peers.get(r.image)  # the image's own record: m(m(lam)) is its image
-    if back is None or not back.regular:
+    back = r.peers.get(r.image)  # the image's own record: m(m(lam)) is its image, which rejects a p-singular one
+    if back is None:
         return f"lam={r.lam}: image {r.image} leaves the domain"
     if back.image != r.lam:
         return f"lam={r.lam}: m(m(lam)) = {back.image}"
@@ -243,11 +241,11 @@ def _layer_postconditions(r):
 
 
 def _bijection_roundtrip(r):
-    if r.bg and mull_to_bg(r.partner, r.p) != r.lam:
-        return f"lam={r.lam}: mull_to_bg(bg_to_mull) = {mull_to_bg(r.partner, r.p)}"
+    if r.bg and (back := mull_to_bg(r.partner, r.p)) != r.lam:
+        return f"lam={r.lam}: mull_to_bg(bg_to_mull) = {back}"
     if r.self_mull:
-        back = r.peers.get(mull_to_bg(r.lam, r.p))
-        if back is None or not back.bg or back.partner != r.lam:
+        back = r.peers.get(mull_to_bg(r.lam, r.p))  # its partner calls bg_to_mull, which rejects a non-BG partition
+        if back is None or back.partner != r.lam:
             return f"mu={r.lam}: bg_to_mull(mull_to_bg) misses"
 
 
@@ -289,23 +287,31 @@ LAWS = (
 
 
 def _check(law):
-    """The row as a check_<name>(p, n_max, sweep=None) callable."""
+    """The row as a timed check_<name>(p, n_max, sweep=None) callable; a ValueError is a lam=... or n=... witness."""
 
     def check(p, n_max, sweep=None):
+        start = time.perf_counter()
         sweep = _Sweep(p, n_max) if sweep is None else sweep
-        cases = 0
-        for n in law.sizes(p, n_max):
-            recs = [r for r in sweep[n].values() if law.domain(r)]
-            for r in recs:
-                cases += law.cases(r)
-                witness = law.law(r)
-                if witness:
-                    return CheckResult(law.name, False, witness, cases)
-            for witness in law.per_size(sweep, n, recs):
-                cases += 1
-                if witness:
-                    return CheckResult(law.name, False, witness, cases)
-        return CheckResult(law.name, True, f"{cases} cases", cases)
+        cases, r = 0, None
+
+        def result(witness=None):
+            return CheckResult(law.name, not witness, witness or f"{cases} cases", cases, time.perf_counter() - start)
+
+        try:
+            for n in law.sizes(p, n_max):
+                recs = [r for r in sweep[n].values() if law.domain(r)]
+                for r in recs:
+                    cases += law.cases(r)
+                    if witness := law.law(r):
+                        return result(witness)
+                r = None  # past the records: a ValueError now comes from the size's per-size law
+                for witness in law.per_size(sweep, n, recs):
+                    cases += 1
+                    if witness:
+                        return result(witness)
+        except ValueError as exc:
+            return result(f"{f'n={n}' if r is None else f'lam={r.lam}'}: {exc}")
+        return result()
 
     check.__name__ = check.__qualname__ = "check_" + law.name.replace("-", "_")
     return check
@@ -319,14 +325,6 @@ CHECKS = tuple(_check(law) for law in LAWS)
 
 
 def run_checks(p, n_max):
-    """Run every check at (p, n_max) over one shared sweep; returns the CheckResult list.
-
-    Each result's seconds times its CHECKS call, so the first check to
-    need a record value also pays for computing it.
-    """
-    sweep, results = _Sweep(p, n_max), []
-    for check in CHECKS:
-        start = time.perf_counter()
-        r = check(p, n_max, sweep)
-        results.append(CheckResult(r.name, r.ok, r.detail, r.cases, time.perf_counter() - start))
-    return results
+    """Run every check at (p, n_max) over one shared sweep; the first check to need a record value pays for it."""
+    sweep = _Sweep(p, n_max)
+    return [check(p, n_max, sweep) for check in CHECKS]

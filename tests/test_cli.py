@@ -234,6 +234,9 @@ def test_broken_invariant_exits_4(monkeypatch, capsys):
     assert captured.err == "internal error: rim removal broke the diagram of (5,)\n"
     assert cli.main(["map", "-p", "3", "--format", "json", "5"]) == 4
     assert json.loads(capsys.readouterr().out) == {"error": "rim removal broke the diagram of (5,)", "internal": True}
+    # verify turns only a ValueError into a law's witness: a broken invariant still stops the sweep
+    assert cli.main(["verify", "-p", "3", "-n", "5"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: rim removal broke the diagram of ")
 
 
 def test_large_prime_p_is_decided_at_once():

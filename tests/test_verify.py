@@ -18,8 +18,9 @@ def test_all_checks_pass_small():
     assert all(r.cases > 0 for r in results)
 
 
-def test_all_checks_pass_p5():
-    results = run_checks(5, 12)
+@pytest.mark.parametrize("p", [5, 9, 15, 31])  # composite p, and p > n where every partition is p-regular
+def test_all_checks_pass_at_n12(p):
+    results = run_checks(p, 12)
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
 
@@ -131,6 +132,40 @@ def test_a_failing_law_exits_3(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in out if not r["ok"]] == ["hook-transpose"]
     assert all(set(r) == {"name", "ok", "detail", "cases", "seconds"} for r in out)
+
+
+def _broken_at(real, at, value):
+    """real, except on the partition at, where it returns value, or raises it if it is an exception."""
+
+    def broken(lam, *p):
+        if lam != at:
+            return real(lam, *p)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "name, p, value, failing",
+    [
+        ("diagonal_hook_lengths", 3, (4,), [
+            ("diagonal-hooks", "lam=(2, 1): hooks (4,) are not distinct odd numbers summing to 3"),
+            ("diagonal-hook-correspondence", "lam=(2, 1): diagonal hooks must be positive odd integers, got 4"),
+        ]),
+        ("bg_to_mull", 5, (3,), [("bijection-roundtrip", "lam=(2, 1): (3,) is not self-Mullineux for p=5 (column 0)")]),
+        ("bg_symbol", 5, ValueError("broken"), [("bg-symbol-injective", "n=3: broken"), ("bg-symbol-validates", "lam=(2, 1): broken")]),
+    ],
+)
+def test_a_value_the_library_rejects_is_the_laws_witness(monkeypatch, capsys, name, p, value, failing):
+    # the rejection fails only the checks that met it, each with its record or size; every other check still reports
+    monkeypatch.setattr(verify, name, _broken_at(getattr(verify, name), (2, 1), value))
+    results = run_checks(p, 6)
+    assert len(results) == len(CHECKS)
+    assert [(r.name, r.detail) for r in results if not r.ok] == failing
+    assert cli.main(["verify", "-p", str(p), "-n", "6"]) == 3
+    assert len(capsys.readouterr().out.splitlines()) == len(CHECKS)
 
 
 def test_verify_bounds_p_before_any_work():
