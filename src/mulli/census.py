@@ -1,25 +1,26 @@
 """Census of the partition families at a fixed size.
 
-For one (p, n) this collects the p-regular count, the self-conjugate
-partitions, the BG-partitions, the self-Mullineux partitions, and the
-partitions into distinct odd parts not divisible by p, then pairs each
-BG-partition with its self-Mullineux partner.  The last two families
-are equinumerous with the BG-partitions, which is also what the product
-generating function prod (1 + t^q) over odd q with p not dividing q
-counts.
+For one (p, n) this builds the families, not all p(n) partitions: the
+self-conjugate and BG-partitions unfold from their hook sets (distinct
+odd parts, listed too when none is divisible by p), and the
+self-Mullineux partitions are rebuilt from their fixed-point symbols.
+Each BG-partition is paired with its self-Mullineux partner.  The last
+three families are equinumerous, as prod (1 + t^q) over odd q with p
+not dividing q counts.
 """
 
 from .bg import bg_to_mull
-from .partitions import _Value, _conjugate, _is_bg, _is_int, _is_p_regular, _size_arg, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
+from .partitions import _Value, _is_bg, _is_int, _size_arg, _unfold, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
 from .partitions import is_p_regular
-from .symbols import _is_self_mullineux
+from .symbols import _eps, _reconstruct
 
 
 # Caps on n where one call takes about 10 s (2-vCPU x86 host, CPython 3.11, median of 3).
-# census walks all p(n) partitions, peeling every p-regular one: at n = 60, 6.1 s
-# at p = 3, 9.3 s at p = 61 and 8.4 s at p = 999.  The generating function takes about
-# n^1.5 steps on growing integers: at n = 80000, 8.6 s at p = 3 and 6.0 s at p = 999.
-CENSUS_MAX_N = 60
+# census grows with its families, largest once p > n makes every self-conjugate partition
+# BG: at n = 150, 1.2 s at p = 3, 5.3 s at p = 999 and 5.8 s at p = 10^30 + 1 (10.5 s at 160).
+# The generating function takes about n^1.5 steps on growing integers: at n = 80000,
+# 8.6 s at p = 3 and 6.0 s at p = 999.
+CENSUS_MAX_N = 150
 GF_MAX_N = 80_000
 
 
@@ -130,33 +131,63 @@ def census(p, n) -> CensusReport:
     """The families and the pairing at size n, for n up to CENSUS_MAX_N."""
     check_odd_p(p)
     _size_arg(n, CENSUS_MAX_N, "census")
-    all_count = p_regular_count = 0
-    selfconj, bg, selfmull, distodd = [], [], [], []
-    # partitions_of yields valid partitions, so they go to the kernels unchecked
-    for lam in partitions_of(n):
-        all_count += 1
-        if _is_p_regular(lam, p):
-            p_regular_count += 1
-            if _is_self_mullineux(lam, p):
-                selfmull.append(lam)
-        if lam == _conjugate(lam):
-            selfconj.append(lam)
-            if _is_bg(lam, p):
-                bg.append(lam)
-        if _has_distinct_odd_parts(lam, p):
-            distodd.append(lam)
+    hook_sets = list(_distinct_odd(n, n))
+    selfconj = sorted((_unfold([(h - 1) // 2 for h in hooks]) for hooks in hook_sets), reverse=True)
+    bg = [lam for lam in selfconj if _is_bg(lam, p)]
+    distodd = [hooks for hooks in hook_sets if all(h % p for h in hooks)]
+    selfmull = sorted((_reconstruct(a, r, p) for a, r in _fixed_points(p, n)), reverse=True)
 
     # The diagonal hooks of a self-conjugate partition are distinct and odd,
     # and the correspondence is 1:1; under it the BG condition matches the
     # no-part-divisible-by-p condition exactly.
     via_hooks = sorted((tuple(diagonal_hook_lengths(s)) for s in bg), reverse=True)
-    if via_hooks != sorted(distodd, reverse=True):
+    if via_hooks != distodd:
         raise RuntimeError(f"diagonal-hook correspondence broke at p={p}, n={n}")
 
+    # the BG partners and the fixed-point symbols are independent enumerations of one family
     pairs = tuple((b, bg_to_mull(b, p)) for b in bg)
     if sorted(m for _, m in pairs) != sorted(selfmull):
         raise RuntimeError(f"BG pairing does not cover the self-Mullineux family at p={p}, n={n}")
-    return CensusReport(p, n, all_count, p_regular_count, *map(tuple, (selfconj, bg, selfmull, distodd)), pairs)
+    counts = _eta_quotient(n, (), (1,))[n], _eta_quotient(n, (p,), (1,))[n]  # 1/E_1, and E_p/E_1 (Glaisher)
+    return CensusReport(p, n, *counts, *map(tuple, (selfconj, bg, selfmull, distodd)), pairs)
+
+
+def _distinct_odd(n, largest):
+    """Yield the partitions of n into distinct odd parts at most largest, in decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+    for h in range(min(n, largest) - 1 | 1, 0, -2):
+        if n - h > (h // 2) ** 2:  # the odd parts below h sum to (h // 2)^2 at most
+            return
+        for rest in _distinct_odd(n - h, h - 2):
+            yield (h, *rest)
+
+
+def _fixed_points(p, n):
+    """Columns (a, r) of every Mullineux symbol of size n with a_i = 2 r_i - eps_i in every column.
+
+    Columns grow right to left, with r_{l+1} = 0 past the last: r_i - r_{i+1} runs over
+    [eps_i, p + eps_i), and a_i = 2 r_i - eps_i must be positive with eps(a_i) = eps_i.  Under
+    a = 2r - eps these are all four conditions of validate_symbol.  a_i grows with r_i, so each
+    loop stops once the size passes n, at every p.
+    """
+    out = []
+
+    def grow(a, r, size):
+        if size == n:
+            out.append((a, r))
+            return
+        below = r[0] if r else 0
+        for eps in (0, 1):
+            for ri in range(below + eps, below + p + eps):
+                ai = 2 * ri - eps
+                if size + ai > n:
+                    break
+                if ai and _eps(ai, p) == eps:
+                    grow((ai, *a), (ri, *r), size + ai)
+
+    grow((), (), 0)
+    return out
 
 
 def bg_counts_from_gf(p, n_max):

@@ -8,9 +8,12 @@ import time
 
 import pytest
 
-from mulli import MAX_CELLS, bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of, run_checks
+from mulli import MAX_CELLS, CensusReport, Symbol, bg_counts_from_gf, bg_to_mull, census, has_distinct_odd_parts, partitions_of, run_checks
+from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux, reconstruct, validate_symbol
+from mulli.census import _distinct_odd, _fixed_points, _has_distinct_odd_parts
+from mulli.partitions import _conjugate, _is_bg, _is_p_regular
+from mulli.symbols import _is_self_mullineux
 from mulli.verify import CHECKS, _Sweep
-from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux
 
 
 @functools.cache
@@ -195,7 +198,7 @@ def test_sizes_are_capped_before_any_work(n):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: census(3, 61), "n=61 exceeds the census cap 60"),
+        (lambda: census(3, 151), "n=151 exceeds the census cap 150"),
         (lambda: bg_counts_from_gf(999, 80001), "n=80001 exceeds the bg_counts_from_gf cap 80000"),
         (lambda: run_checks(3, 31), "n=31 exceeds the run_checks cap 30"),
         *[(functools.partial(check, 3, 31), "n=31 exceeds the run_checks cap 30") for check in CHECKS],
@@ -229,6 +232,12 @@ def test_census_invariants_raise(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         census(5, 1)
     assert str(err.value) == "BG pairing does not cover the self-Mullineux family at p=5, n=1"
+    monkeypatch.undo()
+    # the fixed points are enumerated apart from the BG family, so a symbol the DFS loses shows
+    monkeypatch.setattr(module, "_fixed_points", lambda p, n: _fixed_points(p, n)[1:])
+    with pytest.raises(RuntimeError) as err:
+        census(3, 18)
+    assert str(err.value) == "BG pairing does not cover the self-Mullineux family at p=3, n=18"
 
 
 def _recursive_partitions(n, largest):
@@ -274,3 +283,51 @@ def test_census_agrees_with_the_public_predicates():
         assert report.bg == tuple(lam for lam in lams if is_bg_partition(lam, p))
         assert report.self_mullineux == tuple(lam for lam in lams if is_p_regular(lam, p) and is_self_mullineux(lam, p))
         assert report.distinct_odd_nondiv == tuple(lam for lam in lams if has_distinct_odd_parts(lam, p))
+
+
+def _census_by_filter(p, n):
+    """The filter loop census replaced, as an oracle: classify all p(n) partitions of n."""
+    all_count = p_regular_count = 0
+    selfconj, bg, selfmull, distodd = [], [], [], []
+    for lam in partitions_of(n):
+        all_count += 1
+        if _is_p_regular(lam, p):
+            p_regular_count += 1
+            if _is_self_mullineux(lam, p):
+                selfmull.append(lam)
+        if lam == _conjugate(lam):
+            selfconj.append(lam)
+            if _is_bg(lam, p):
+                bg.append(lam)
+        if _has_distinct_odd_parts(lam, p):
+            distodd.append(lam)
+    pairs = tuple((b, bg_to_mull(b, p)) for b in bg)
+    return CensusReport(p, n, all_count, p_regular_count, *map(tuple, (selfconj, bg, selfmull, distodd)), pairs)
+
+
+def test_census_matches_the_filter():
+    # every field, the p(n) and p-regular counts included
+    for p, n in itertools.product((3, 5, 7, 9, 15), range(31)):
+        built, filtered = census(p, n), _census_by_filter(p, n)
+        assert built == filtered, (p, n)
+        if (p, n) in ((3, 18), (5, 30), (15, 25)):
+            assert built.to_text() == filtered.to_text()
+            assert built.to_csv() == filtered.to_csv()
+            assert json.dumps(built.to_json_dict()) == json.dumps(filtered.to_json_dict())
+
+
+def test_enumerators_reach_past_the_filter():
+    for p, n_max in ((3, 80), (5, 40), (7, 40), (9, 40), (15, 40)):
+        counts = bg_counts_from_gf(p, n_max)
+        for n in range(n_max + 1):
+            symbols = [Symbol(p, a, r) for a, r in _fixed_points(p, n)]
+            assert len(symbols) == counts[n], (p, n)
+            assert all(validate_symbol(sym) == (True, "") for sym in symbols), (p, n)
+            if n <= 24:
+                assert all(is_self_mullineux(reconstruct(sym), p) for sym in symbols), (p, n)
+    # with p past n every odd part is allowed, so the gf counts every hook set
+    hook_counts = bg_counts_from_gf(101, 80)
+    for n in range(81):
+        hook_sets = list(_distinct_odd(n, n))
+        assert len(hook_sets) == hook_counts[n] and hook_sets == sorted(set(hook_sets), reverse=True), n
+        assert all(sum(q) == n and has_distinct_odd_parts(q) for q in hook_sets), n

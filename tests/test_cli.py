@@ -154,9 +154,9 @@ def test_enumeration_cap():
     assert out.returncode == 1
     assert out.stderr == "error: size 10000000000000000000000000 exceeds the size cap 1000000\n"
     # and its caps on n
-    out = run_cli("census", "-p", "3", "-n", "61")
+    out = run_cli("census", "-p", "3", "-n", "151")
     assert out.returncode == 1
-    assert out.stderr == "error: n=61 exceeds the census cap 60\n"
+    assert out.stderr == "error: n=151 exceeds the census cap 150\n"
     out = run_cli("verify", "-p", "3", "-n", "31")
     assert out.returncode == 1
     assert out.stderr == "error: n=31 exceeds the run_checks cap 30\n"
