@@ -10,7 +10,7 @@ reverse direction rebuilds the BG-partition layer by layer.  Both
 directions validate their input once, then pass trusted columns (a, r).
 """
 
-from .partitions import MAX_CELLS, _arms, _conjugate, _has_hook_divisible, _is_bg, _is_int, _partition_arg, _parts
+from .partitions import MAX_CELLS, _arms, _has_hook_divisible, _is_bg, _is_int, _partition_arg, _parts
 from .partitions import _regular_arg, _self_conjugate_arg, _top_size, _unfold
 from .rims import _grow
 from .symbols import Symbol, _columns, _eps, _is_fixed, _reconstruct
@@ -45,7 +45,7 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
     ends in row 1.  Mirroring the placed cells across the diagonal
     finishes the layer.
     """
-    base = _partition_arg(base, p)
+    base = _self_conjugate_arg(base, p)
     if not (_is_int(eps) and eps in (0, 1)):
         raise ValueError(f"eps must be 0 or 1, got {eps!r}")
     if not _is_int(m) or not 0 <= m < p:
@@ -54,8 +54,6 @@ def add_rim_star_layer(base, eps, m, p) -> tuple:
         raise ValueError("a layer that misses the diagonal must have m = 0")
     if not base and eps == 0:
         raise ValueError("a layer on the empty partition must contain the diagonal cell")
-    if base != _conjugate(base):
-        raise ValueError(f"{base} is not self-conjugate")
     c = _add_layer(_arms(base)[::-1], eps, m, p)
     if _top_size(c) > MAX_CELLS:
         raise ValueError(f"the grown partition of {_top_size(c)} cells exceeds the size cap {MAX_CELLS}")

@@ -1,23 +1,22 @@
 """Census of the partition families at a fixed size.
 
-For one (p, n) this builds the families, not all p(n) partitions: the
+For one (p, n) this builds the families, not all p(n) partitions.  The
 self-conjugate and BG-partitions unfold from their hook sets (distinct
-odd parts, listed too when none is divisible by p), and the
-self-Mullineux partitions are rebuilt from their fixed-point symbols.
-Each BG-partition is paired with its self-Mullineux partner.  The last
-three families are equinumerous, as prod (1 + t^q) over odd q with p
-not dividing q counts.
+odd parts, listed too when none is divisible by p).  The families pair
+by symbol: the bg symbols must be the fixed-point symbols, and each is
+rebuilt once into its self-Mullineux partner.  The last three families
+are equinumerous, as prod (1 + t^q) over odd q with p not dividing q
+counts.
 """
 
-from .bg import bg_to_mull
 from .partitions import _Value, _is_bg, _is_int, _size_arg, _unfold, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
 from .partitions import is_p_regular
-from .symbols import _eps, _reconstruct
+from .symbols import _columns, _eps, _reconstruct
 
 
 # Caps on n where one call takes about 10 s (2-vCPU x86 host, CPython 3.11, median of 3).
 # census grows with its families, largest once p > n makes every self-conjugate partition
-# BG: at n = 150, 1.2 s at p = 3, 5.3 s at p = 999 and 5.8 s at p = 10^30 + 1 (10.5 s at 160).
+# BG: at n = 150, 1.2 s at p = 3, 3.2 s at 15, 5.4 s at 999 and 5.9 s at 10^30 + 1 (9.1 s at 160).
 # The generating function takes about n^1.5 steps on growing integers: at n = 80000,
 # 8.6 s at p = 3 and 6.0 s at p = 999.
 CENSUS_MAX_N = 150
@@ -132,22 +131,23 @@ def census(p, n) -> CensusReport:
     check_odd_p(p)
     _size_arg(n, CENSUS_MAX_N, "census")
     hook_sets = list(_distinct_odd(n, n))
-    selfconj = sorted((_unfold([(h - 1) // 2 for h in hooks]) for hooks in hook_sets), reverse=True)
+    # row i <= d is (h_i + 1)/2 + i - 1: decreasing hook sets unfold to decreasing partitions
+    selfconj = [_unfold([(h - 1) // 2 for h in hooks]) for hooks in hook_sets]
     bg = [lam for lam in selfconj if _is_bg(lam, p)]
     distodd = [hooks for hooks in hook_sets if all(h % p for h in hooks)]
-    selfmull = sorted((_reconstruct(a, r, p) for a, r in _fixed_points(p, n)), reverse=True)
 
     # The diagonal hooks of a self-conjugate partition are distinct and odd,
-    # and the correspondence is 1:1; under it the BG condition matches the
-    # no-part-divisible-by-p condition exactly.
-    via_hooks = sorted((tuple(diagonal_hook_lengths(s)) for s in bg), reverse=True)
-    if via_hooks != distodd:
+    # and the correspondence is 1:1, in order; under it the BG condition
+    # matches the no-part-divisible-by-p condition exactly.
+    if [tuple(diagonal_hook_lengths(s)) for s in bg] != distodd:
         raise RuntimeError(f"diagonal-hook correspondence broke at p={p}, n={n}")
 
-    # the BG partners and the fixed-point symbols are independent enumerations of one family
-    pairs = tuple((b, bg_to_mull(b, p)) for b in bg)
-    if sorted(m for _, m in pairs) != sorted(selfmull):
+    # two independent enumerations of one symbol set: the DFS never calls the bijection
+    symbols = [_columns(b, p, star=True) for b in bg]
+    if sorted(symbols) != sorted(_fixed_points(p, n)):
         raise RuntimeError(f"BG pairing does not cover the self-Mullineux family at p={p}, n={n}")
+    pairs = tuple((b, _reconstruct(a, r, p)) for b, (a, r) in zip(bg, symbols))
+    selfmull = sorted((m for _, m in pairs), reverse=True)
     counts = _eta_quotient(n, (), (1,))[n], _eta_quotient(n, (p,), (1,))[n]  # 1/E_1, and E_p/E_1 (Glaisher)
     return CensusReport(p, n, *counts, *map(tuple, (selfconj, bg, selfmull, distodd)), pairs)
 

@@ -4,11 +4,12 @@ import functools
 import importlib
 import itertools
 import json
+import operator
 import time
 
 import pytest
 
-from mulli import MAX_CELLS, CensusReport, Symbol, bg_counts_from_gf, bg_to_mull, census, has_distinct_odd_parts, partitions_of, run_checks
+from mulli import MAX_CELLS, CensusReport, Symbol, bg_counts_from_gf, bg_to_mull, census, has_distinct_odd_parts, mull_to_bg, partitions_of, run_checks
 from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux, reconstruct, validate_symbol
 from mulli.census import _distinct_odd, _fixed_points, _has_distinct_odd_parts
 from mulli.partitions import _conjugate, _is_bg, _is_p_regular
@@ -228,7 +229,8 @@ def test_census_invariants_raise(monkeypatch):
         census(5, 1)
     assert str(err.value) == "diagonal-hook correspondence broke at p=5, n=1"
     monkeypatch.undo()
-    monkeypatch.setattr(module, "bg_to_mull", lambda lam, p: (2,))
+    # a bg symbol the DFS does not list: (3; 2) has size 3, not 1
+    monkeypatch.setattr(module, "_columns", lambda lam, p, star=False: ((3,), (2,)))
     with pytest.raises(RuntimeError) as err:
         census(5, 1)
     assert str(err.value) == "BG pairing does not cover the self-Mullineux family at p=5, n=1"
@@ -314,6 +316,17 @@ def test_census_matches_the_filter():
             assert built.to_text() == filtered.to_text()
             assert built.to_csv() == filtered.to_csv()
             assert json.dumps(built.to_json_dict()) == json.dumps(filtered.to_json_dict())
+
+
+@pytest.mark.parametrize("p, n", [(3, 80), (7, 60), (10**30 + 1, 60)])
+def test_census_pairs_agree_with_the_bijection(p, n):
+    # past the filter's reach, the pairs built by symbol are the public bijection's, both ways
+    report = census(p, n)
+    assert report.pairs and all(bg_to_mull(b, p) == m and mull_to_bg(m, p) == b for b, m in report.pairs)
+    assert report.self_mullineux == tuple(sorted((m for _, m in report.pairs), reverse=True))
+    assert all(map(operator.gt, report.self_conjugate, report.self_conjugate[1:]))
+    if p > n:
+        assert report.bg == report.self_conjugate
 
 
 def test_enumerators_reach_past_the_filter():
