@@ -9,14 +9,16 @@ are equinumerous, as prod (1 + t^q) over odd q with p not dividing q
 counts.
 """
 
-from .partitions import _Value, _is_bg, _is_int, _size_arg, _unfold, as_partition, check_odd_p, diagonal_hook_lengths, format_partition
-from .partitions import is_p_regular
+from functools import cache
+
+from .partitions import _Value, _arms, _has_hook_divisible, _is_int, _is_p_regular, _size_arg, _unfold, as_partition, check_odd_p
+from .partitions import diagonal_hook_lengths, format_partition
 from .symbols import _columns, _eps, _reconstruct
 
 
-# Caps on n where one call takes about 10 s (2-vCPU x86 host, CPython 3.11, median of 3).
-# census grows with its families, largest once p > n makes every self-conjugate partition
-# BG: at n = 150, 1.2 s at p = 3, 3.2 s at 15, 5.4 s at 999 and 5.9 s at 10^30 + 1 (9.1 s at 160).
+# Caps on n, timed on a 2-vCPU x86 host (CPython 3.11, median of 3).  census grows with its families,
+# largest once p > n makes every self-conjugate partition BG: at n = 150, 0.62 s at p = 3, 1.8 s at 15,
+# 2.3 s at 999 and 2.0 s at 10^30 + 1 (4.4 s at 160), under the 10 s rule; its text there is 11.6 MB.
 # The generating function takes about n^1.5 steps on growing integers: at n = 80000,
 # 8.6 s at p = 3 and 6.0 s at p = 999.
 CENSUS_MAX_N = 150
@@ -97,7 +99,7 @@ class CensusReport(_Value):
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["partition", "p_regular", "self_conjugate", "bg", "self_mullineux", "distinct_odd_nondiv", "maps_to"])
         for lam in sorted(set().union(*families), reverse=True):
-            flags = [int(is_p_regular(lam, self.p))] + [int(lam in fam) for fam in families]
+            flags = [int(_is_p_regular(lam, self.p))] + [int(lam in fam) for fam in families]
             maps_to = format_partition(partner[lam]) if lam in partner else ""
             writer.writerow([format_partition(lam), *flags, maps_to])
         return out.getvalue()
@@ -133,7 +135,7 @@ def census(p, n) -> CensusReport:
     hook_sets = list(_distinct_odd(n, n))
     # row i <= d is (h_i + 1)/2 + i - 1: decreasing hook sets unfold to decreasing partitions
     selfconj = [_unfold([(h - 1) // 2 for h in hooks]) for hooks in hook_sets]
-    bg = [lam for lam in selfconj if _is_bg(lam, p)]
+    bg = [lam for lam in selfconj if not _has_hook_divisible(_arms(lam), p)]  # _unfold built them self-conjugate
     distodd = [hooks for hooks in hook_sets if all(h % p for h in hooks)]
 
     # The diagonal hooks of a self-conjugate partition are distinct and odd,
@@ -168,25 +170,28 @@ def _fixed_points(p, n):
 
     Columns grow right to left, with r_{l+1} = 0 past the last: r_i - r_{i+1} runs over
     [eps_i, p + eps_i), and a_i = 2 r_i - eps_i must be positive with eps(a_i) = eps_i.  Under
-    a = 2r - eps these are all four conditions of validate_symbol.  a_i grows with r_i, so each
-    loop stops once the size passes n, at every p.
+    a = 2r - eps these are all four conditions of validate_symbol, so the next columns depend only
+    on (r to their right, cells left).  steps works each such state out once and keeps the columns
+    that can still finish, so every branch the walk enters ends in a symbol.
     """
-    out = []
-
-    def grow(a, r, size):
-        if size == n:
-            out.append((a, r))
-            return
-        below = r[0] if r else 0
+    @cache
+    def steps(below, cells):
+        out = []
         for eps in (0, 1):
             for ri in range(below + eps, below + p + eps):
                 ai = 2 * ri - eps
-                if size + ai > n:
-                    break
-                if ai and _eps(ai, p) == eps:
-                    grow((ai, *a), (ri, *r), size + ai)
+                if ai > cells:
+                    break  # a_i grows with r_i
+                if ai and _eps(ai, p) == eps and (ai == cells or steps(ri, cells - ai)):
+                    out.append((ai, ri))
+        return out
 
-    grow((), (), 0)
+    out, todo = [], [((), (), n)]
+    while todo:
+        a, r, cells = todo.pop()
+        if not cells:
+            out.append((a, r))
+        todo += [((ai, *a), (ri, *r), cells - ai) for ai, ri in steps(r[0] if r else 0, cells)]
     return out
 
 

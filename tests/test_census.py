@@ -13,7 +13,7 @@ from mulli import MAX_CELLS, CensusReport, Symbol, bg_counts_from_gf, bg_to_mull
 from mulli import is_bg_partition, is_p_regular, is_self_conjugate, is_self_mullineux, reconstruct, validate_symbol
 from mulli.census import _distinct_odd, _fixed_points, _has_distinct_odd_parts
 from mulli.partitions import _conjugate, _is_bg, _is_p_regular
-from mulli.symbols import _is_self_mullineux
+from mulli.symbols import _eps, _is_self_mullineux
 from mulli.verify import CHECKS, _Sweep
 
 
@@ -327,6 +327,36 @@ def test_census_pairs_agree_with_the_bijection(p, n):
     assert all(map(operator.gt, report.self_conjugate, report.self_conjugate[1:]))
     if p > n:
         assert report.bg == report.self_conjugate
+
+
+def _fixed_points_by_dfs(p, n):
+    """The DFS _fixed_points replaced, as an oracle: grow every fixed-point symbol up to size n, keep size n."""
+    out = []
+
+    def grow(a, r, size):
+        if size == n:
+            out.append((a, r))
+            return
+        below = r[0] if r else 0
+        for eps in (0, 1):
+            for ri in range(below + eps, below + p + eps):
+                ai = 2 * ri - eps
+                if size + ai > n:
+                    break
+                if ai and _eps(ai, p) == eps:
+                    grow((ai, *a), (ri, *r), size + ai)
+
+    grow((), (), 0)
+    return out
+
+
+def test_fixed_points_match_the_dfs():
+    # a memo keyed on too little could drop symbols at large p, where the count test below stops at n = 40
+    cases = [(p, n) for p in (3, 5, 7, 9, 15, 61, 999, 10**30 + 1) for n in range(41)] + [(3, 80)]
+    for p, n in cases:
+        symbols = sorted(_fixed_points(p, n))
+        assert symbols == sorted(_fixed_points_by_dfs(p, n)), (p, n)
+        assert all(map(operator.lt, symbols, symbols[1:])), (p, n)
 
 
 def test_enumerators_reach_past_the_filter():
