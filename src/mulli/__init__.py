@@ -1,20 +1,19 @@
-"""Mullineux symbols, BG-partitions, and the bijection between their fixed-point families."""
+"""Mullineux symbols, BG-partitions, and the bijection between their fixed-point families.
+
+The import lines below are the public API: `__all__` is every name they bind
+that is neither private nor a submodule. `mulli.census` is the report
+function, not the module, so `import mulli.census as C` gives the function;
+reach the module through `from mulli.census import ...` or
+`sys.modules["mulli.census"]`.
+"""
+
+from types import ModuleType as _ModuleType
 
 from .bg import add_rim_star_layer, bg_symbol, bg_to_mull, mull_to_bg
 from .census import CensusReport, bg_counts_from_gf, census, has_distinct_odd_parts, partitions_of
 from .partitions import (
-    MAX_CELLS,
-    as_partition,
-    conjugate,
-    diagonal_hook_lengths,
-    durfee_length,
-    format_partition,
-    hook_length,
-    is_bg_partition,
-    is_p_regular,
-    is_self_conjugate,
-    parse_partition,
-    self_conjugate_from_diagonal_hooks,
+    MAX_CELLS, as_partition, conjugate, diagonal_hook_lengths, durfee_length, format_partition, hook_length,
+    is_bg_partition, is_p_regular, is_self_conjugate, parse_partition, self_conjugate_from_diagonal_hooks,
     truncate_to_durfee,
 )
 from .render import peel_iterations, render_diagram, render_peeled
@@ -22,45 +21,4 @@ from .rims import PRim, PRimStar, p_rim, p_rim_star, remove_p_rim, remove_p_rim_
 from .symbols import Symbol, is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
 from .verify import CheckResult, run_checks
 
-__all__ = [
-    "MAX_CELLS",
-    "CensusReport",
-    "CheckResult",
-    "PRim",
-    "PRimStar",
-    "Symbol",
-    "add_rim_star_layer",
-    "as_partition",
-    "bg_counts_from_gf",
-    "bg_symbol",
-    "bg_to_mull",
-    "census",
-    "conjugate",
-    "diagonal_hook_lengths",
-    "durfee_length",
-    "format_partition",
-    "has_distinct_odd_parts",
-    "hook_length",
-    "is_bg_partition",
-    "is_p_regular",
-    "is_self_conjugate",
-    "is_self_mullineux",
-    "mull_to_bg",
-    "mullineux_map",
-    "mullineux_symbol",
-    "parse_partition",
-    "partitions_of",
-    "peel_iterations",
-    "p_rim",
-    "p_rim_star",
-    "reconstruct",
-    "remove_p_rim",
-    "remove_p_rim_star",
-    "render_diagram",
-    "render_peeled",
-    "rim",
-    "run_checks",
-    "self_conjugate_from_diagonal_hooks",
-    "truncate_to_durfee",
-    "validate_symbol",
-]
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

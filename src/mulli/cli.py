@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad partition, bad p, cap
-exceeded, --out not writable), 2 usage error, 3 verify found a failing
-property (a value a library call rejects inside a law is its witness),
-4 internal error (a broken invariant of the kernels, which is a bug; it
-stops verify too).  Domain errors print `error: <msg>` to stderr in text
-mode and an `{"error": <msg>}` object to stdout in json mode; internal
+exceeded, --out or stdout not writable), 2 usage error, 3 verify found a
+failing property (a value a library call rejects inside a law is its
+witness), 4 internal error (a broken invariant of the kernels, which is a
+bug; it stops verify too).  Domain errors print `error: <msg>` to stderr in
+text mode and an `{"error": <msg>}` object to stdout in json mode; internal
 errors print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
+A stdout that cannot be written (a closed pipe, a full disk) prints
+`error: cannot write to stdout: <reason>` to stderr in every mode.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .bg import bg_symbol, bg_to_mull, mull_to_bg
@@ -133,13 +136,28 @@ def _run(args):
     raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
+def _emit(text, code) -> int:
+    """Print text to stdout and return code, or 1 with an `error:` line on stderr if stdout cannot be written."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # point fd 1 at devnull so that the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return code
+
+
 def _fail(args, message, internal=False) -> int:
     """Report an error in the requested format; return its exit code."""
+    code = 4 if internal else 1
     if args.format == "json":
-        print(json.dumps({"error": message, "internal": True} if internal else {"error": message}))
-    else:
-        print(f"{'internal error' if internal else 'error'}: {message}", file=sys.stderr)
-    return 4 if internal else 1
+        return _emit(json.dumps({"error": message, "internal": True} if internal else {"error": message}), code)
+    print(f"{'internal error' if internal else 'error'}: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -156,6 +174,5 @@ def main(argv=None) -> int:
                 fh.write(payload + "\n")
         except OSError as exc:
             return _fail(args, f"cannot write {args.out}: {exc.strerror or exc}")
-    else:
-        print(payload)
-    return code
+        return code
+    return _emit(payload, code)

@@ -8,6 +8,7 @@ import mulli.partitions
 import mulli.render
 import mulli.symbols
 from mulli import (
+    MAX_CELLS,
     add_rim_star_layer,
     bg_symbol,
     bg_to_mull,
@@ -155,6 +156,14 @@ def test_add_rim_star_layer_enforces_the_size_cap_before_mirroring():
         add_rim_star_layer((1,), 0, 0, 500001)
     with pytest.raises(ValueError, match="exceeds the size cap"):
         add_rim_star_layer((1,), 0, 0, 2 * 10**6 + 1)
+
+
+def test_add_rim_star_layer_accepts_exactly_max_cells():
+    # a diagonal layer at p = 3 on the hook (k, 1^(k-1)) adds 7 cells: exactly MAX_CELLS at k = 499997
+    grown = add_rim_star_layer((499997,) + (1,) * 499996, 1, 0, 3)
+    assert sum(grown) == MAX_CELLS
+    with pytest.raises(ValueError, match="grown partition of 1000002 cells exceeds the size cap"):
+        add_rim_star_layer((499998,) + (1,) * 499997, 1, 0, 3)
 
 
 def test_the_maps_validate_their_input_once(monkeypatch):

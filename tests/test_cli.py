@@ -220,6 +220,29 @@ def test_out_to_unwritable_path_is_a_domain_error(tmp_path):
     assert "cannot write" in json.loads(out.stdout)["error"]
 
 
+def test_closed_stdout_pipe_is_a_domain_error():
+    with subprocess.Popen(
+        [sys.executable, "-m", "mulli", "census", "-p", "3", "-n", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_full_stdout_is_a_domain_error(fmt):
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "mulli", "gf", "-p", "3", "-n", "5", "--format", fmt],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: cannot write to stdout: ") and out.stderr.count("\n") == 1, out.stderr
+
+
 def test_broken_invariant_exits_4(monkeypatch, capsys):
     from mulli import cli, rims
     from mulli.partitions import _parts

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import itertools
+import types
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,12 @@ JUNK = [
     [], ["a"], [3, [1]], [[1, 2], [3]], [[1, 1]], (), (1,), (4, 1), (2, 1, 1), (3, 2, 1), (5, 3, 2, 1, 1),
     -1, 0, 1, 2, 3, 5, 9, 2**61 - 1, 2**63, 10**30, -(10**30),
 ]
+
+
+def test_all_is_the_public_names_the_package_imports():
+    values = [getattr(mulli, name) for name in mulli.__all__]  # every entry resolves
+    assert values and not any(isinstance(v, types.ModuleType) for v in values)
+    assert not any(name.startswith("_") for name in mulli.__all__)
 
 
 @settings(max_examples=200, deadline=None)

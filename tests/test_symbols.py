@@ -88,6 +88,9 @@ def test_validate_symbol():
     assert validate_symbol(Symbol(3, (), ())) == (True, "")
     assert validate_symbol(Symbol(3, (4, 1), (1, 1))) == (False, "condition (1) fails at column 0: r_0-r_1 = 0, allowed [1, 4)")
     assert validate_symbol(Symbol(3, (2, 1), (2, 1))) == (False, "condition (3) fails at column 0: a_0-a_1 = 1, allowed [2, 5)")
+    # r_0 - r_1 = p + eps_0 is one past condition (1)'s upper bound; both symbols meet conditions (2)-(4)
+    assert validate_symbol(Symbol(3, (6, 1), (4, 1))) == (False, "condition (1) fails at column 0: r_0-r_1 = 3, allowed [0, 3)")
+    assert validate_symbol(Symbol(3, (7, 1), (5, 1))) == (False, "condition (1) fails at column 0: r_0-r_1 = 4, allowed [1, 4)")
     with pytest.raises(ValueError) as err:
         Symbol.from_text("1 2", 3)
     assert str(err.value) == "symbol text needs a '/': '1 2'"
