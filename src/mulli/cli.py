@@ -8,7 +8,8 @@ bug; it stops verify too).  Domain errors print `error: <msg>` to stderr in
 text mode and an `{"error": <msg>}` object to stdout in json mode; internal
 errors print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
 A stdout that cannot be written (a closed pipe, a full disk) prints
-`error: cannot write to stdout: <reason>` to stderr in every mode.
+`error: cannot write to stdout: <reason>` to stderr in every mode; the run
+exits 1, or keeps its code 3 or 4 if it had already failed.
 """
 
 import argparse
@@ -137,7 +138,13 @@ def _run(args):
 
 
 def _emit(text, code) -> int:
-    """Print text to stdout and return code, or 1 with an `error:` line on stderr if stdout cannot be written."""
+    """Print text to stdout and return code.
+
+    If stdout cannot be written, print an `error:` line on stderr and return
+    1, or code if it is already a failure (3 or 4).  Fd 1 then points at
+    devnull for the rest of the process, so call this only at the end of a
+    CLI run.
+    """
     try:
         print(text)
         sys.stdout.flush()
@@ -147,7 +154,7 @@ def _emit(text, code) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        return code if code > 1 else 1
     return code
 
 

@@ -26,7 +26,7 @@ Every function is pure and every value immutable.
 
 import sys
 from itertools import accumulate
-from operator import add, attrgetter, eq, gt, le, sub
+from operator import add, attrgetter, gt, le, sub
 
 # Desk-scale tool: partitions are validated to at most this many cells,
 # so all arithmetic stays in machine words.
@@ -304,7 +304,7 @@ def _self_conjugate_arg(lam, p) -> tuple[int, ...]:
 
 def _is_p_regular(lam, p) -> bool:
     # parts are sorted, so a value repeats p times iff it spans p consecutive places
-    return not any(map(eq, lam, lam[p - 1 :]))
+    return all(first != last for first, last in zip(lam, lam[p - 1 :]))
 
 
 def is_bg_partition(lam, p) -> bool:

@@ -49,12 +49,9 @@ class Symbol(_Value):
         a, r = (_as_tuple(row, "a symbol row must be an iterable of positive integers") for row in (a, r))
         if len(a) != len(r):
             raise ValueError("symbol rows must have equal length")
-        entries = a + r
-        # builtins accept plain int entries at once; the loop finds the first bad entry
-        if entries and (set(map(type, entries)) != {int} or min(entries) < 1):
-            for x in entries:
-                if not _is_int(x) or x < 1:
-                    raise ValueError(f"symbol entries must be positive integers, got {x!r}")
+        for x in a + r:
+            if not _is_int(x) or x < 1:
+                raise ValueError(f"symbol entries must be positive integers, got {x!r}")
         if kind not in ("mullineux", "bg"):
             raise ValueError(f"unknown symbol kind {kind!r}")
         self.__dict__.update(p=p, a=a, r=r, kind=kind)

@@ -243,6 +243,22 @@ def test_full_stdout_is_a_domain_error(fmt):
     assert out.stderr.startswith("error: cannot write to stdout: ") and out.stderr.count("\n") == 1, out.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_keeps_the_exit_code_of_an_internal_error():
+    script = (
+        "import sys\n"
+        "from mulli import cli, rims\n"
+        "def broken(b, out, star=False):\n"
+        "    raise RuntimeError('rim removal broke')\n"
+        "rims._left = broken\n"
+        "sys.exit(cli.main(['map', '-p', '3', '--format', 'json', '5']))\n"
+    )
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-c", script], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert out.returncode == 4
+    assert out.stderr.startswith("error: cannot write to stdout: ") and out.stderr.count("\n") == 1, out.stderr
+
+
 def test_broken_invariant_exits_4(monkeypatch, capsys):
     from mulli import cli, rims
     from mulli.partitions import _parts
