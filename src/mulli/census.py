@@ -18,9 +18,10 @@ from .symbols import _columns, _eps, _reconstruct
 
 # Caps on n, timed on a 2-vCPU x86 host (CPython 3.11, median of 3).  census grows with its families,
 # largest once p > n makes every self-conjugate partition BG: at n = 150, 0.62 s at p = 3, 1.8 s at 15,
-# 2.3 s at 999 and 2.0 s at 10^30 + 1 (4.4 s at 160), under the 10 s rule; its text there is 11.6 MB.
-# The generating function takes about n^1.5 steps on growing integers: at n = 80000,
-# 8.6 s at p = 3 and 6.0 s at p = 999.
+# 2.3 s at 999 and 2.0 s at 10^30 + 1 (4.4 s at 160), well under 10 s.  Its cap is held at 150 until it
+# is re-timed (ROADMAP item 3), which must also weigh the report: 11.6 MB of text at (999, 150).
+# The generating function takes about n^1.5 steps on growing integers; its cap is where one call takes
+# about 10 s: at n = 80000, 8.6 s at p = 3 and 6.0 s at p = 999.
 CENSUS_MAX_N = 150
 GF_MAX_N = 80_000
 

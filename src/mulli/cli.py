@@ -8,8 +8,9 @@ bug; it stops verify too).  Domain errors print `error: <msg>` to stderr in
 text mode and an `{"error": <msg>}` object to stdout in json mode; internal
 errors print `internal error: <msg>`, or `{"error": <msg>, "internal": true}`.
 A stdout that cannot be written (a closed pipe, a full disk) prints
-`error: cannot write to stdout: <reason>` to stderr in every mode; the run
-exits 1, or keeps its code 3 or 4 if it had already failed.
+`error: cannot write to stdout: <reason>` to stderr in every mode, `--help`
+and `-h` included; the run exits 1, or keeps its code 3 or 4 if it had
+already failed.
 """
 
 import argparse
@@ -57,8 +58,14 @@ def _is_prime(p):
     return True
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer drops an OSError; this one lets it reach main (subparsers share the class)
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mulli",
         description="Mullineux symbols, BG-partitions, and the bijection between their fixed-point families.",
     )
@@ -137,49 +144,41 @@ def _run(args):
     raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
-def _emit(text, code) -> int:
-    """Print text to stdout and return code.
+def _fail(args, message, internal=False):
+    """Report an error in the requested format; return (payload for stdout or None, exit code)."""
+    code = 4 if internal else 1
+    if args.format == "json":
+        return json.dumps({"error": message, "internal": True} if internal else {"error": message}), code
+    print(f"{'internal error' if internal else 'error'}: {message}", file=sys.stderr)
+    return None, code
 
-    If stdout cannot be written, print an `error:` line on stderr and return
-    1, or code if it is already a failure (3 or 4).  Fd 1 then points at
-    devnull for the rest of the process, so call this only at the end of a
-    CLI run.
-    """
+
+def main(argv=None) -> int:
+    """Run one command; with print_help the only stdout writer. A failed write leaves fd 1 on devnull."""
+    code = 0
     try:
-        print(text)
-        sys.stdout.flush()
+        args = _build_parser().parse_args(argv)
+        try:
+            payload, code = _run(args)
+        except ValueError as exc:
+            payload, code = _fail(args, str(exc))
+        except RuntimeError as exc:
+            payload, code = _fail(args, str(exc), internal=True)
+        else:
+            if args.out:
+                try:
+                    with open(args.out, "w", encoding="utf-8") as fh:
+                        fh.write(payload + "\n")
+                    payload = None
+                except OSError as exc:
+                    payload, code = _fail(args, f"cannot write {args.out}: {exc.strerror or exc}")
+        if payload is not None:
+            print(payload, flush=True)
     except OSError as exc:
-        # point fd 1 at devnull so that the flush at interpreter exit stays quiet
+        # stdout cannot be written: point fd 1 at devnull so that the flush at interpreter exit stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         return code if code > 1 else 1
     return code
-
-
-def _fail(args, message, internal=False) -> int:
-    """Report an error in the requested format; return its exit code."""
-    code = 4 if internal else 1
-    if args.format == "json":
-        return _emit(json.dumps({"error": message, "internal": True} if internal else {"error": message}), code)
-    print(f"{'internal error' if internal else 'error'}: {message}", file=sys.stderr)
-    return code
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        payload, code = _run(args)
-    except ValueError as exc:
-        return _fail(args, str(exc))
-    except RuntimeError as exc:
-        return _fail(args, str(exc), internal=True)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            return _fail(args, f"cannot write {args.out}: {exc.strerror or exc}")
-        return code
-    return _emit(payload, code)

@@ -318,10 +318,6 @@ def _check(law):
 
 
 CHECKS = tuple(_check(law) for law in LAWS)
-(check_partition_count, check_conjugate_involution, check_hook_transpose, check_diagonal_hooks, check_diagonal_hook_correspondence,
- check_p_rim_structure, check_rim_star_structure, check_rim_star_parity, check_bg_four_way, check_bg_truncation, check_bg_closure,
- check_bg_symbol_injective, check_bg_symbol_validates, check_symbol_roundtrip, check_mullineux_involution,
- check_self_mullineux_fixed_points, check_small_size_conjugation, check_layer_postconditions, check_bijection_roundtrip) = CHECKS
 
 
 def run_checks(p, n_max):

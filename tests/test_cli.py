@@ -244,6 +244,28 @@ def test_full_stdout_is_a_domain_error(fmt):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["census", "-h"]], ids=["help", "census-h"])
+def test_help_into_a_full_stdout_is_a_domain_error(argv, unbuffered):
+    # argparse's own help writer drops the OSError: exit 0 when unbuffered, 120 and an ignored exception when buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-m", "mulli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: cannot write to stdout: ") and out.stderr.count("\n") == 1, out.stderr
+    assert "Exception ignored" not in out.stderr and "Traceback" not in out.stderr
+
+
+def test_help_into_a_pipe_lists_every_subcommand():
+    out = run_cli("--help")
+    assert (out.returncode, out.stderr) == (0, "")
+    for name in ("symbol", "bg-symbol", "map", "bijection", "census", "gf", "verify", "render"):
+        assert f"\n    {name} " in out.stdout, name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_keeps_the_exit_code_of_an_internal_error():
     script = (
         "import sys\n"

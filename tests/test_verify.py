@@ -8,7 +8,9 @@ import pytest
 from mulli import cli, conjugate, partitions_of, run_checks, verify
 from mulli.census import _eta_quotient
 from mulli.rims import PRim, p_rim, rim
-from mulli.verify import CHECKS, CheckResult, _Sweep, check_layer_postconditions, check_p_rim_structure, check_rim_star_parity, check_small_size_conjugation
+from mulli.verify import CHECKS, CheckResult, _Sweep
+
+CHECK = {check.__name__: check for check in CHECKS}  # check_p_rim_structure -> its check
 
 
 def test_all_checks_pass_small():
@@ -30,8 +32,8 @@ def test_check_names_unique():
 
 
 def test_parity_converse_witness_is_exercised():
-    with_witness = check_rim_star_parity(3, 12)
-    without = check_rim_star_parity(3, 11)
+    with_witness = CHECK["check_rim_star_parity"](3, 12)
+    without = CHECK["check_rim_star_parity"](3, 11)
     assert with_witness.ok and without.ok
     assert with_witness.cases == without.cases + sum(1 for _ in _selfconj_of_12()) + 1
 
@@ -44,7 +46,7 @@ def _selfconj_of_12():
 
 def test_degeneration_check_respects_p():
     # only sizes below p are in scope, so cases stop growing there
-    assert check_small_size_conjugation(5, 4).cases == check_small_size_conjugation(5, 30).cases
+    assert CHECK["check_small_size_conjugation"](5, 4).cases == CHECK["check_small_size_conjugation"](5, 30).cases
 
 
 # per-check case counts of the 19 checks, in report order
@@ -122,7 +124,7 @@ def _p_rim_with_counts(target, counts):
 )
 def test_each_p_rim_condition_reports_its_witness(monkeypatch, name, broken, detail):
     monkeypatch.setattr(verify, name, broken)
-    result = check_p_rim_structure(3, 6)
+    result = CHECK["check_p_rim_structure"](3, 6)
     assert (result.ok, result.detail) == (False, detail)
 
 
@@ -191,4 +193,4 @@ def test_the_work_bound_counts_the_layers_the_layer_check_grows(p, n):
     # p + 1 layers on every self-conjugate base, less the eps = 0 layer the empty base cannot grow
     selfconj = [sum(lam == conjugate(lam) for lam in partitions_of(k)) for k in range(n + 1)]
     assert _eta_quotient(n, (2, 2), (1, 4)) == selfconj
-    assert check_layer_postconditions(p, n).cases == (p + 1) * sum(selfconj) - 1 == _Sweep(p, n).layers - 1
+    assert CHECK["check_layer_postconditions"](p, n).cases == (p + 1) * sum(selfconj) - 1 == _Sweep(p, n).layers - 1
