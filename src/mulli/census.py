@@ -171,9 +171,10 @@ def _fixed_points(p, n):
 
     Columns grow right to left, with r_{l+1} = 0 past the last: r_i - r_{i+1} runs over
     [eps_i, p + eps_i), and a_i = 2 r_i - eps_i must be positive with eps(a_i) = eps_i.  Under
-    a = 2r - eps these are all four conditions of validate_symbol, so the next columns depend only
-    on (r to their right, cells left).  steps works each such state out once and keeps the columns
-    that can still finish, so every branch the walk enters ends in a symbol.
+    a = 2r - eps these are both conditions validate_symbol puts on a column and the one to its
+    right, so the next columns depend only on (r to their right, cells left).  steps works each
+    such state out once and keeps the columns that can still finish, so every branch the walk
+    enters ends in a symbol.
     """
     @cache
     def steps(below, cells):

@@ -2,12 +2,13 @@
 
 The symbol of a p-regular partition records, column by column, the size
 a_i of the i-th p-rim and the number of rows r_i left just before that
-rim is peeled.  Four inequalities characterize exactly which two-row
-arrays arise this way, and a partition can be rebuilt from its symbol by
-reversing the peeling (reconstruct).  Replacing each r_i by
-s_i = a_i + eps_i - r_i and rebuilding gives an involution on p-regular
-partitions (mullineux_map); its fixed points are recognized directly on
-the symbol by a_i = 2 r_i - eps_i.
+rim is peeled.  Two inequalities per column, each read against the
+column to its right (past the last, the empty column), characterize
+exactly which two-row arrays arise this way, and a partition can be
+rebuilt from its symbol by reversing the peeling (reconstruct).
+Replacing each r_i by s_i = a_i + eps_i - r_i and rebuilding gives an
+involution on p-regular partitions (mullineux_map); its fixed points are
+recognized directly on the symbol by a_i = 2 r_i - eps_i.
 
 Symbol is the public boundary type: inside the library a symbol travels
 as its trusted columns (a, r), from _columns to _reconstruct.
@@ -116,38 +117,33 @@ def mullineux_symbol(lam, p) -> Symbol:
 
 
 def validate_symbol(sym: Symbol) -> tuple[bool, str]:
-    """Check the four column inequalities of symbols of p-regular partitions.
+    """Check the column inequalities of symbols of p-regular partitions.
 
-    With eps_i = 0 if p | a_i else 1 and l the last column index:
-      (1) eps_i <= r_i - r_{i+1} < p + eps_i          for i < l
-      (2) 1 <= r_l < p + eps_l
-      (3) r_i - r_{i+1} + eps_{i+1} <= a_i - a_{i+1}
-                        < p + r_i - r_{i+1} + eps_{i+1} for i < l
-      (4) r_l <= a_l < p + r_l
+    With eps_i = 0 if p | a_i else 1, every column i is read against the
+    column to its right, and the last column l against the empty column
+    (a_{l+1}, r_{l+1}) = (0, 0), whose eps is 0:
+      (1) eps_i <= r_i - r_{i+1} < p + eps_i
+      (3) r_i - r_{i+1} + eps_{i+1} <= a_i - a_{i+1} < p + r_i - r_{i+1} + eps_{i+1}
+    At the last column they are named (2) and (4).
 
     Returns (ok, diagnostic); the diagnostic names the first violated
-    condition and is empty when the symbol is valid.
+    condition, (1)/(2) over all columns before (3)/(4), and is empty
+    when the symbol is valid.
     """
     if not isinstance(sym, Symbol):
         raise ValueError(f"expected a Symbol, got {sym!r}")
-    a, r, p = sym.a, sym.r, sym.p
-    if not a:
-        return True, ""
-    last = len(a) - 1
+    a, r, p = sym.a + (0,), sym.r + (0,), sym.p
     eps = [_eps(x, p) for x in a]
-    for i in range(last):
+    last = len(sym) - 1
+    for i in range(len(sym)):
         d = r[i] - r[i + 1]
         if not eps[i] <= d < p + eps[i]:
-            return False, f"condition (1) fails at column {i}: r_{i}-r_{i+1} = {d}, allowed [{eps[i]}, {p + eps[i]})"
-    if not 1 <= r[last] < p + eps[last]:
-        return False, f"condition (2) fails: r_l = {r[last]}, allowed [1, {p + eps[last]})"
-    for i in range(last):
+            return False, f"condition ({1 + (i == last)}) fails at column {i}: r_{i}-r_{i+1} = {d}, allowed [{eps[i]}, {p + eps[i]})"
+    for i in range(len(sym)):
         lo = r[i] - r[i + 1] + eps[i + 1]
         d = a[i] - a[i + 1]
         if not lo <= d < p + lo:
-            return False, f"condition (3) fails at column {i}: a_{i}-a_{i+1} = {d}, allowed [{lo}, {p + lo})"
-    if not r[last] <= a[last] < p + r[last]:
-        return False, f"condition (4) fails: a_l = {a[last]}, allowed [{r[last]}, {r[last] + p})"
+            return False, f"condition ({3 + (i == last)}) fails at column {i}: a_{i}-a_{i+1} = {d}, allowed [{lo}, {p + lo})"
     return True, ""
 
 

@@ -24,8 +24,8 @@ from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim
 from .symbols import _is_fixed, is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
 
 
-# Cap on n for run_checks and every check, which keeps the sweep small (2-vCPU x86 host,
-# CPython 3.11): n = 30 took 6.2 s at p = 3, 6.3 s at p = 7 and 8.2 s at p = 31.
+# Cap on n for run_checks and every check (2-vCPU x86 host, CPython 3.11, median of 3):
+# run_checks(p, 30) took 4.6 s at p = 3, 6.6 s at p = 7 and 5.0 s at p = 31.
 VERIFY_MAX_N = 30
 
 

@@ -96,6 +96,22 @@ def test_validate_symbol():
     assert str(err.value) == "symbol text needs a '/': '1 2'"
 
 
+@pytest.mark.parametrize(
+    "a, r, why",
+    [
+        # the last column is read against the empty column (0, 0): (2) is (1) there, (4) is (3)
+        ((3,), (3,), "condition (2) fails at column 0: r_0-r_1 = 3, allowed [0, 3)"),  # upper bound, eps_l = 0
+        ((4,), (4,), "condition (2) fails at column 0: r_0-r_1 = 4, allowed [1, 4)"),  # upper bound, eps_l = 1
+        ((4,), (1,), "condition (4) fails at column 0: a_0-a_1 = 4, allowed [1, 4)"),  # upper bound
+        ((1,), (2,), "condition (4) fails at column 0: a_0-a_1 = 1, allowed [2, 5)"),  # lower bound
+        # (3) fails at column 0 too, but (1) and (2) are checked over every column first
+        ((1, 1, 1), (2, 1, 1), "condition (1) fails at column 1: r_1-r_2 = 0, allowed [1, 4)"),
+    ],
+)
+def test_validate_symbol_bounds_and_order(a, r, why):
+    assert validate_symbol(Symbol(3, a, r)) == (False, why)
+
+
 def test_reconstruct_golden():
     assert reconstruct(Symbol(5, (9, 5, 5), (4, 2, 2))) == (9, 6, 3, 1)
     assert reconstruct(Symbol(5, (9, 5, 5), (6, 3, 3))) == (5, 5, 5, 2, 1, 1)

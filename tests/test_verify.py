@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from mulli import cli, conjugate, partitions_of, run_checks, verify
+from mulli import Symbol, bg_symbol, cli, conjugate, mullineux_symbol, partitions_of, run_checks, verify
 from mulli.census import _eta_quotient
-from mulli.rims import PRim, p_rim, rim
-from mulli.verify import CHECKS, CheckResult, _Sweep
+from mulli.rims import PRim, PRimStar, p_rim, rim
+from mulli.verify import CHECKS, LAWS, CheckResult, _Sweep
 
 CHECK = {check.__name__: check for check in CHECKS}  # check_p_rim_structure -> its check
 
@@ -169,6 +169,117 @@ def test_a_value_the_library_rejects_is_the_laws_witness(monkeypatch, capsys, na
     assert cli.main(["verify", "-p", str(p), "-n", "6"]) == 3
     assert len(capsys.readouterr().out.splitlines()) == len(CHECKS)
 
+
+# law -> the rows that fail it: (verify name to break, the partition it breaks at, its value there, p, n,
+# every failing (check, witness) in report order); where no single break fails a law alone, the row pins the others
+LAW_FAILURES = {
+    "partition-count": [("partitions_of", 0, (), 3, 4, [
+        ("partition-count", "n=0: enumerated 0, recurrence 1"),
+        ("bijection-roundtrip", "n=0: counts bg=0, mull=0, distinct-odd=0, gf=1"),
+    ])],
+    "conjugate-involution": [("conjugate", (2, 1), (1, 2), 3, 4, [
+        ("conjugate-involution", "lam=(2, 1)"),
+        ("hook-transpose", "lam=(2, 1), cell=(1,1)"),
+        ("diagonal-hook-correspondence", "n=3: image does not match the distinct-odd family"),
+    ])],
+    "hook-transpose": [("hook_length", (2, 1), 5, 3, 4, [("hook-transpose", "lam=(2, 1), cell=(1,1)")])],
+    "diagonal-hooks": [("diagonal_hook_lengths", (2, 1), (1,), 3, 4, [
+        ("diagonal-hooks", "lam=(2, 1): hooks (1,) are not distinct odd numbers summing to 3"),
+        ("diagonal-hook-correspondence", "lam=(2, 1) fails the round trip"),
+    ])],
+    "diagonal-hook-correspondence": [
+        ("is_bg_partition", (1,), False, 3, 1, [
+            ("diagonal-hook-correspondence", "lam=(1,): BG flag disagrees with hooks (1,)"),
+            ("bijection-roundtrip", "n=1: image [] is not the self-Mullineux family [(1,)]"),
+        ]),
+        ("_has_distinct_odd_parts", (3,), False, 3, 4, [
+            ("diagonal-hook-correspondence", "n=3: image does not match the distinct-odd family"),
+        ]),
+    ],
+    "p-rim-structure": [("remove_p_rim", (1,), (1,), 3, 4, [("p-rim-structure", "lam=(1,): removal size mismatch")])],
+    "rim-star-structure": [("remove_p_rim_star", (2, 1), (2,), 3, 4, [
+        ("rim-star-structure", "lam=(2, 1): removal broke symmetry or size"),
+        ("layer-postconditions", "base=(), eps=1, m=1: removal misses the base"),
+    ])],
+    # a forged a* keeps eps* and r* - eps* mod p, which the layer law reads, but not the cells
+    "rim-star-parity": [("p_rim_star", (2, 1), PRimStar((2, 1), (2,), 4, 2, 1), 3, 4, [
+        ("rim-star-structure", "lam=(2, 1): a*=4, r*=2, eps*=1 disagree with the cells"),
+        ("rim-star-parity", "lam=(2, 1): a*=4 even but not divisible by 3"),
+    ])],
+    "bg-four-way": [("p_rim_star", (1,), PRimStar((1,), (1,), 3, 1, 1), 3, 4, [
+        ("rim-star-structure", "lam=(1,): a*=3, r*=1, eps*=1 disagree with the cells"),
+        ("bg-four-way", "lam=(1,): flags (False, False, False, True) disagree"),
+    ])],
+    "bg-truncation": [("truncate_to_durfee", (1,), (1, 1, 1), 3, 4, [("bg-truncation", "lam=(1,)")])],
+    "bg-closure": [("is_bg_partition", (), False, 3, 4, [
+        ("diagonal-hook-correspondence", "lam=(): BG flag disagrees with hooks ()"),
+        ("bg-closure", "lam=(1,)"),
+        ("bijection-roundtrip", "n=0: image [] is not the self-Mullineux family [()]"),
+    ])],
+    "bg-symbol-injective": [("bg_symbol", (3, 3, 2), bg_symbol((4, 2, 1, 1), 3), 3, 8, [
+        ("bg-symbol-injective", "(4, 2, 1, 1) and (3, 3, 2) share 7 1 / 4 1"),
+    ])],
+    "bg-symbol-validates": [
+        ("bg_symbol", (1,), Symbol(3, (1,), (2,), "bg"), 3, 4, [
+            ("bg-symbol-validates", "lam=(1,): condition (4) fails at column 0: a_0-a_1 = 1, allowed [2, 5)"),
+        ]),
+        ("bg_symbol", (1,), Symbol(3, (2,), (1,), "bg"), 3, 4, [("bg-symbol-validates", "lam=(1,): a != 2r - eps in 2 / 1")]),
+    ],
+    "symbol-roundtrip": [("reconstruct", mullineux_symbol((2, 1), 3), (3,), 3, 4, [
+        ("symbol-roundtrip", "lam=(2, 1) reconstructs to (3,)"),
+    ])],
+    "mullineux-involution": [
+        ("mullineux_map", (4,), (1,), 3, 4, [("mullineux-involution", "lam=(4,): image (1,) leaves the domain")]),
+        ("mullineux_map", (4,), (3, 1), 3, 4, [("mullineux-involution", "lam=(4,): m(m(lam)) = (2, 1, 1)")]),
+    ],
+    "self-mullineux-fixed-points": [("is_self_mullineux", (3,), True, 3, 4, [
+        ("self-mullineux-fixed-points", "lam=(3,)"),
+        ("bijection-roundtrip", "lam=(3,): (3,) is not self-Mullineux for p=3 (column 0)"),
+    ])],
+    "small-size-conjugation": [("mullineux_map", (2, 1), (3,), 5, 4, [
+        ("mullineux-involution", "lam=(2, 1): m(m(lam)) = (1, 1, 1)"),
+        ("self-mullineux-fixed-points", "lam=(2, 1)"),
+        ("small-size-conjugation", "lam=(2, 1)"),
+    ])],
+    "layer-postconditions": [("add_rim_star_layer", (), (2, 1), 3, 4, [("layer-postconditions", "base=(), eps=1, m=0: stats off")])],
+    "bijection-roundtrip": [
+        ("mull_to_bg", (1,), (2, 1), 3, 4, [("bijection-roundtrip", "lam=(1,): mull_to_bg(bg_to_mull) = (2, 1)")]),
+        # (4, 1, 1) comes before its BG partner (3, 2, 1) in the sweep, so its own half of the law fails first
+        ("mull_to_bg", (4, 1, 1), (), 3, 6, [("bijection-roundtrip", "mu=(4, 1, 1): bg_to_mull(mull_to_bg) misses")]),
+    ],
+}
+
+
+def test_every_law_has_a_failing_case():
+    assert list(LAW_FAILURES) == [law.name for law in LAWS]
+
+
+@pytest.mark.parametrize(
+    "law, name, at, value, p, n, failing",
+    [(law, *row) for law, rows in LAW_FAILURES.items() for row in rows],
+)
+def test_each_law_fails_with_its_witness(monkeypatch, law, name, at, value, p, n, failing):
+    monkeypatch.setattr(verify, name, _broken_at(getattr(verify, name), at, value))
+    results = run_checks(p, n)
+    assert law in dict(failing)
+    assert [(r.name, r.detail) for r in results if not r.ok] == failing
+    # every other check still ran to its end and reports its cases
+    assert [r.name for r in results] == [law.name for law in LAWS]
+    assert all(r.detail == f"{r.cases} cases" for r in results if r.ok)
+
+
+def test_the_injectivity_law_names_one_collision_per_size(monkeypatch):
+    # the three self-conjugate partitions of 12 share one symbol: the law names the first pair and stops
+    monkeypatch.setattr(verify, "bg_symbol", lambda lam, p: Symbol(p, (1,), (1,), "bg"))
+    sweep = _Sweep(3, 12)
+    recs = [r for r in sweep[12].values() if r.selfconj]
+    assert len(recs) == 3
+    assert list(verify._bg_symbols_distinct(sweep, 12, recs)) == ["(6, 2, 1, 1, 1, 1) and (5, 3, 2, 1, 1) share 1 / 1"]
+
+def test_a_record_has_only_the_values_it_lists():
+    record = _Sweep(3, 2)[2][(2,)]
+    assert not hasattr(record, "nope")
+    assert record.conj == (1, 1)
 
 def test_verify_bounds_p_before_any_work():
     # the predicted time of the whole sweep bounds p: at n = 0 its layer term alone passes 10 s at p = 6459
