@@ -8,8 +8,9 @@ reuses that result.  Each check is a row of LAWS run over the shared
 records; it reports how many concrete cases it covered, its wall time
 and, on failure, the first witness: the law's, or the ValueError a
 library call raised in it (a RuntimeError, a broken kernel invariant,
-escapes).  CHECKS holds one check_<name>(p, n_max) callable per row, in
-report order; called on its own, a check enumerates only the sizes it sweeps.
+escapes).  CHECKS holds one check_<name>(sweep) callable per row, in
+report order; each reads p, n_max and its sizes off the one sweep it is
+given, and only the sweep's constructor applies the caps.
 """
 
 import time
@@ -24,7 +25,7 @@ from .rims import p_rim, p_rim_star, remove_p_rim, remove_p_rim_star, rim
 from .symbols import _is_fixed, is_self_mullineux, mullineux_map, mullineux_symbol, reconstruct, validate_symbol
 
 
-# Cap on n for run_checks and every check (2-vCPU x86 host, CPython 3.11, median of 3):
+# Cap on n for run_checks' sweep (2-vCPU x86 host, CPython 3.11, median of 3):
 # run_checks(p, 30) took 4.6 s at p = 3, 6.6 s at p = 7 and 5.0 s at p = 31.
 VERIFY_MAX_N = 30
 
@@ -79,7 +80,8 @@ class _Sweep(dict):
     def __init__(self, p, n_max):
         super().__init__()
         self.p = check_odd_p(p)
-        self.gf = bg_counts_from_gf(p, _size_arg(n_max, VERIFY_MAX_N, "run_checks"))
+        self.n_max = _size_arg(n_max, VERIFY_MAX_N, "run_checks")
+        self.gf = bg_counts_from_gf(p, self.n_max)
         self.counts = _eta_quotient(n_max, (), (1,))  # p(0..n_max), by Euler's pentagonal-number recurrence
         # the sweep's predicted time, in integer units of 0.01 us so that a huge p is refused too: about 10 us per
         # cell swept (6-12 us at p = 3..199, n = 26), plus p + 1 layers per self-conjugate base at 63 + 0.23p us each
@@ -99,17 +101,13 @@ class _Sweep(dict):
         return peers
 
 
-# one check as a table row: each record in the domain counts `cases` cases; `law`, and per_size once
-# per extra case of a size, give None or the witness text
-_Law = namedtuple("_Law", "name law domain sizes per_size cases", defaults=(
-    lambda r: None, lambda r: True, lambda p, n_max: range(1, n_max + 1), lambda sweep, n, recs: (), lambda r: 1))
+# one check as a table row, run at sizes n_min..n_max: each record in the domain counts `cases` cases;
+# `law`, and per_size once per extra case of a size, give None or the witness text
+_Law = namedtuple("_Law", "name law domain n_min per_size cases", defaults=(
+    lambda r: None, lambda r: True, 1, lambda sweep, n, recs: (), lambda r: 1))
 
 
 _selfconj, _regular, _bg = attrgetter("selfconj"), attrgetter("regular"), attrgetter("bg")
-
-
-def _from_zero(p, n_max):
-    return range(n_max + 1)
 
 
 def _partition_count(sweep, n, recs):
@@ -203,7 +201,6 @@ def _bg_symbols_distinct(sweep, n, recs):
     for r in recs:
         if r.bg_sym in seen:
             yield f"{seen[r.bg_sym]} and {r.lam} share {r.bg_sym.to_text()}"
-            return
         seen[r.bg_sym] = r.lam
 
 
@@ -263,42 +260,41 @@ def _bijection_families(sweep, n, recs):
 
 
 LAWS = (
-    _Law("partition-count", domain=lambda r: False, sizes=_from_zero, per_size=_partition_count),
-    _Law("conjugate-involution", _conjugate_involution, sizes=_from_zero),
-    _Law("hook-transpose", _hook_transpose, sizes=_from_zero, cases=lambda r: r.n),
-    _Law("diagonal-hooks", _diagonal_hooks, _selfconj, _from_zero),
-    _Law("diagonal-hook-correspondence", _hook_correspondence, _selfconj, _from_zero, _hook_image),
+    _Law("partition-count", domain=lambda r: False, n_min=0, per_size=_partition_count),
+    _Law("conjugate-involution", _conjugate_involution, n_min=0),
+    _Law("hook-transpose", _hook_transpose, n_min=0, cases=lambda r: r.n),
+    _Law("diagonal-hooks", _diagonal_hooks, _selfconj, 0),
+    _Law("diagonal-hook-correspondence", _hook_correspondence, _selfconj, 0, _hook_image),
     _Law("p-rim-structure", _p_rim_structure),
     _Law("rim-star-structure", _rim_star_structure, _selfconj),
     _Law("rim-star-parity", _rim_star_parity, _selfconj, per_size=_parity_converse),
     _Law("bg-four-way", _bg_four_way, _bg),
     _Law("bg-truncation", lambda r: None if is_p_regular(truncate_to_durfee(r.lam), r.p) else f"lam={r.lam}", _bg),
     _Law("bg-closure", lambda r: None if is_bg_partition(r.star_rest, r.p) else f"lam={r.lam}", _bg),
-    _Law("bg-symbol-injective", domain=_selfconj, sizes=_from_zero, per_size=_bg_symbols_distinct),
+    _Law("bg-symbol-injective", domain=_selfconj, n_min=0, per_size=_bg_symbols_distinct),
     _Law("bg-symbol-validates", _bg_symbol_validates, _bg),
     _Law("symbol-roundtrip", _symbol_roundtrip, _regular),
     _Law("mullineux-involution", _involution, _regular),
     _Law("self-mullineux-fixed-points", lambda r: None if r.self_mull == (r.image == r.lam) else f"lam={r.lam}", _regular),
     # below n = p every partition is p-regular and the map degenerates to conjugation
-    _Law("small-size-conjugation", lambda r: None if r.image == r.conj else f"lam={r.lam}", sizes=lambda p, n: range(1, min(n, p - 1) + 1)),
-    _Law("layer-postconditions", _layer_postconditions, _selfconj, _from_zero, cases=lambda r: r.p + bool(r.lam)),
-    _Law("bijection-roundtrip", _bijection_roundtrip, lambda r: r.bg or r.self_mull, _from_zero, _bijection_families, lambda r: r.bg + r.self_mull),
+    _Law("small-size-conjugation", lambda r: None if r.image == r.conj else f"lam={r.lam}", lambda r: r.n < r.p),
+    _Law("layer-postconditions", _layer_postconditions, _selfconj, 0, cases=lambda r: r.p + bool(r.lam)),
+    _Law("bijection-roundtrip", _bijection_roundtrip, lambda r: r.bg or r.self_mull, 0, _bijection_families, lambda r: r.bg + r.self_mull),
 )
 
 
 def _check(law):
-    """The row as a timed check_<name>(p, n_max, sweep=None) callable; a ValueError is a lam=... or n=... witness."""
+    """The row as a timed check_<name>(sweep) callable; a ValueError is a lam=... or n=... witness."""
 
-    def check(p, n_max, sweep=None):
+    def check(sweep):
         start = time.perf_counter()
-        sweep = _Sweep(p, n_max) if sweep is None else sweep
         cases, r = 0, None
 
         def result(witness=None):
             return CheckResult(law.name, not witness, witness or f"{cases} cases", cases, time.perf_counter() - start)
 
         try:
-            for n in law.sizes(p, n_max):
+            for n in range(law.n_min, sweep.n_max + 1):
                 recs = [r for r in sweep[n].values() if law.domain(r)]
                 for r in recs:
                     cases += law.cases(r)
@@ -321,6 +317,6 @@ CHECKS = tuple(_check(law) for law in LAWS)
 
 
 def run_checks(p, n_max):
-    """Run every check at (p, n_max) over one shared sweep; the first check to need a record value pays for it."""
+    """Run every check over one sweep of (p, n_max), which applies the caps; the first check to need a value pays for it."""
     sweep = _Sweep(p, n_max)
-    return [check(p, n_max, sweep) for check in CHECKS]
+    return [check(sweep) for check in CHECKS]

@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,3 +339,20 @@ def test_verify_rejects_a_huge_p_at_once():
         assert out.returncode == 1
         assert "Traceback" not in out.stderr
         assert out.stderr.splitlines()[-1].startswith(f"error: p={p}, n=0 is too large for verify")
+
+
+# README lines whose comment is the command's whole output
+README_EXAMPLES = [
+    line.partition("#")
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    if line.split()[:2] in (["mulli", "symbol"], ["mulli", "map"], ["mulli", "bg-symbol"], ["mulli", "bijection"])
+]
+
+
+def test_the_readme_examples_print_their_comment(capsys):
+    from mulli import cli
+
+    assert len(README_EXAMPLES) == 4
+    for command, _, output in README_EXAMPLES:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == output.strip() + "\n", command

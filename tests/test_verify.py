@@ -32,8 +32,8 @@ def test_check_names_unique():
 
 
 def test_parity_converse_witness_is_exercised():
-    with_witness = CHECK["check_rim_star_parity"](3, 12)
-    without = CHECK["check_rim_star_parity"](3, 11)
+    with_witness = CHECK["check_rim_star_parity"](_Sweep(3, 12))
+    without = CHECK["check_rim_star_parity"](_Sweep(3, 11))
     assert with_witness.ok and without.ok
     assert with_witness.cases == without.cases + sum(1 for _ in _selfconj_of_12()) + 1
 
@@ -46,7 +46,7 @@ def _selfconj_of_12():
 
 def test_degeneration_check_respects_p():
     # only sizes below p are in scope, so cases stop growing there
-    assert CHECK["check_small_size_conjugation"](5, 4).cases == CHECK["check_small_size_conjugation"](5, 30).cases
+    assert CHECK["check_small_size_conjugation"](_Sweep(5, 4)).cases == CHECK["check_small_size_conjugation"](_Sweep(5, 30)).cases
 
 
 # per-check case counts of the 19 checks, in report order
@@ -124,7 +124,7 @@ def _p_rim_with_counts(target, counts):
 )
 def test_each_p_rim_condition_reports_its_witness(monkeypatch, name, broken, detail):
     monkeypatch.setattr(verify, name, broken)
-    result = CHECK["check_p_rim_structure"](3, 6)
+    result = CHECK["check_p_rim_structure"](_Sweep(3, 6))
     assert (result.ok, result.detail) == (False, detail)
 
 
@@ -269,12 +269,33 @@ def test_each_law_fails_with_its_witness(monkeypatch, law, name, at, value, p, n
 
 
 def test_the_injectivity_law_names_one_collision_per_size(monkeypatch):
-    # the three self-conjugate partitions of 12 share one symbol: the law names the first pair and stops
-    monkeypatch.setattr(verify, "bg_symbol", lambda lam, p: Symbol(p, (1,), (1,), "bg"))
+    # the three self-conjugate partitions of 12 share one symbol: the law names each collision in turn,
+    # and the check, which stops at a law's first witness, reports only the first
+    real = verify.bg_symbol
+    monkeypatch.setattr(verify, "bg_symbol", lambda lam, p: Symbol(p, (1,), (1,), "bg") if sum(lam) == 12 else real(lam, p))
     sweep = _Sweep(3, 12)
     recs = [r for r in sweep[12].values() if r.selfconj]
-    assert len(recs) == 3
-    assert list(verify._bg_symbols_distinct(sweep, 12, recs)) == ["(6, 2, 1, 1, 1, 1) and (5, 3, 2, 1, 1) share 1 / 1"]
+    assert [r.lam for r in recs] == [(6, 2, 1, 1, 1, 1), (5, 3, 2, 1, 1), (4, 4, 2, 2)]
+    first, second = "(6, 2, 1, 1, 1, 1) and (5, 3, 2, 1, 1) share 1 / 1", "(5, 3, 2, 1, 1) and (4, 4, 2, 2) share 1 / 1"
+    assert list(verify._bg_symbols_distinct(sweep, 12, recs)) == [first, second]
+    # its 18 self-conjugate records up to 12 (CASES_3_12) and the one collision it read
+    result = CHECK["check_bg_symbol_injective"](_Sweep(3, 12))
+    assert (result.ok, result.detail, result.cases) == (False, first, 18 + 1)
+
+
+def test_the_sweep_computes_each_shared_value_once(monkeypatch):
+    # one enumeration per size 0..12, one map per 3-regular partition of 1..12 (CASES_3_12), and one
+    # bg_to_mull per BG-partition of size <= 12, the empty one included
+    calls = {"partitions_of": 0, "mullineux_map": 0, "bg_to_mull": 0}
+    for name in calls:
+        def counted(*args, real=getattr(verify, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert all(r.ok for r in run_checks(3, 12))
+    assert calls == {"partitions_of": 13, "mullineux_map": 144, "bg_to_mull": 9}
+
 
 def test_a_record_has_only_the_values_it_lists():
     record = _Sweep(3, 2)[2][(2,)]
@@ -284,10 +305,8 @@ def test_a_record_has_only_the_values_it_lists():
 def test_verify_bounds_p_before_any_work():
     # the predicted time of the whole sweep bounds p: at n = 0 its layer term alone passes 10 s at p = 6459
     for p in (6459, 10**9 + 7, 10**400 + 1):
-        with pytest.raises(ValueError, match="too large for verify"):
-            run_checks(p, 0)
         with pytest.raises(ValueError, match="too large for verify") as err:
-            CHECKS[0](p, 0)
+            run_checks(p, 0)
     # past 10^6 s the time is a power of ten, so the message stays short although p has 401 digits
     assert len(str(err.value)) < 500 and str(err.value).endswith("its checks would take about 10^794 s")
     # the prediction is only just past 10 s, and rounds up
@@ -304,4 +323,4 @@ def test_the_work_bound_counts_the_layers_the_layer_check_grows(p, n):
     # p + 1 layers on every self-conjugate base, less the eps = 0 layer the empty base cannot grow
     selfconj = [sum(lam == conjugate(lam) for lam in partitions_of(k)) for k in range(n + 1)]
     assert _eta_quotient(n, (2, 2), (1, 4)) == selfconj
-    assert CHECK["check_layer_postconditions"](p, n).cases == (p + 1) * sum(selfconj) - 1 == _Sweep(p, n).layers - 1
+    assert CHECK["check_layer_postconditions"](_Sweep(p, n)).cases == (p + 1) * sum(selfconj) - 1 == _Sweep(p, n).layers - 1
